@@ -48,7 +48,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="write the report here instead of stdout")
     p_verify.add_argument("--format", choices=("text", "json", "csv"),
                           default="text")
-    p_verify.add_argument("--workers", type=int, default=1, metavar="N")
 
     for name, help_text in (
             ("jones", "Jones polynomial of a DT code"),
@@ -81,8 +80,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"corpus error: {exc}", file=sys.stderr)
         return 1
     digest = corpus_sha256(args.corpus)
-    report = verify_all(rows, workers=max(1, args.workers),
-                        corpus_digest=digest)
+    report = verify_all(rows, corpus_digest=digest)
     body = RENDERERS[args.format](report)
     if args.report is None:
         sys.stdout.write(body)
@@ -91,15 +89,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             fh.write(body)
     print(f"{report.total} rows in {report.duration_s:.1f}s", file=sys.stderr)
     return 0 if report.failed == 0 else 1
-
-
-def _parse_rational(text: str) -> ExtendedRational:
-    parts = text.split("/")
-    if len(parts) == 1:
-        return ExtendedRational(int(parts[0]), 1)
-    if len(parts) == 2:
-        return ExtendedRational(int(parts[0]), int(parts[1]))
-    raise ValueError(f"not a fraction: {text!r}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -121,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
             print(fraction(parse_word(args.word)))
         elif args.command == "tangle-synthesize":
             print(render_word(synthesize_one_minus_one(
-                _parse_rational(args.pq))))
+                ExtendedRational.parse(args.pq))))
         return 0
     except (DtCodeError, NotRealizable, MalformedWord, NotFound,
             ValueError) as exc:

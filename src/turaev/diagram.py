@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .realize import Crossing, PlanarDiagram, end_mates
+from .realize import Crossing, PlanarDiagram, end_mates, orbit_count
 
 __all__ = [
     "StateLoopCounts",
@@ -58,37 +58,23 @@ def _check_state(pd: PlanarDiagram, state: str) -> None:
         raise ValueError(f"state may contain only A and B, got {sorted(bad)}")
 
 
+def smoothing(i: int, kind: str) -> list[int]:
+    """Partners of the ends 4i..4i+3 of crossing i under smoothing kind.
+
+    A joins slots (0,1) and (2,3), B joins (0,3) and (1,2).
+    """
+    flip = 1 if kind == "A" else 3
+    return [4 * i + (slot ^ flip) for slot in range(4)]
+
+
 def state_loops(pd: PlanarDiagram, state: str) -> int:
     """Number of circles after smoothing every crossing per the state."""
     _check_state(pd, state)
     if pd.n == 0:
         return 1
-    mate = end_mates(pd)
-    n_ends = 4 * pd.n
-    rho = [0] * n_ends
-    for i, kind in enumerate(state):
-        base = 4 * i
-        if kind == "A":
-            rho[base + 0] = base + 1
-            rho[base + 1] = base + 0
-            rho[base + 2] = base + 3
-            rho[base + 3] = base + 2
-        else:
-            rho[base + 0] = base + 3
-            rho[base + 3] = base + 0
-            rho[base + 1] = base + 2
-            rho[base + 2] = base + 1
-    seen = [False] * n_ends
-    orbits = 0
-    for e0 in range(n_ends):
-        if not seen[e0]:
-            orbits += 1
-            e = e0
-            while not seen[e]:
-                seen[e] = True
-                e = rho[int(mate[e])]
-    # rho and mate are involutions, so every circle is traced twice
-    return orbits // 2
+    rho = [e for i, kind in enumerate(state) for e in smoothing(i, kind)]
+    # every circle is traced twice, once per direction (see orbit_count)
+    return orbit_count(end_mates(pd), rho) // 2
 
 
 def extreme_loop_counts(pd: PlanarDiagram) -> StateLoopCounts:

@@ -4,24 +4,21 @@ The bracket is the full state sum
 
     <D> = sum over states  A^(a - b) * (-A^2 - A^-2)^(loops - 1)
 
-evaluated exactly: the compiled enumeration in ``_kernels`` reduces the
-2^n states to a small integer matrix counting states by (number of A
-smoothings, loop count), and the polynomial is assembled from that
-matrix in arbitrary-precision integers.  Jones is the usual writhe
-normalization V = (-A)^(-3w) <D> rewritten in t = A^-4; the exponent
-division by 4 is asserted, so a convention bug anywhere upstream fails
-loudly instead of producing a quietly wrong polynomial.
+evaluated exactly: the enumeration reduces the 2^n states to a small
+integer matrix counting states by (number of A smoothings, loop count),
+and the polynomial is assembled from that matrix in arbitrary-precision
+integers.  Jones is the usual writhe normalization V = (-A)^(-3w) <D>
+rewritten in t = A^-4; the exponent division by 4 is asserted, so a
+convention bug anywhere upstream fails loudly instead of producing a
+quietly wrong polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
-from .diagram import is_connected, writhe
-from .realize import PlanarDiagram, end_mates
+from .diagram import is_connected, smoothing, writhe
+from .realize import PlanarDiagram, end_mates, orbit_count
 
 __all__ = [
     "LaurentPoly",
@@ -143,6 +140,33 @@ def _delta_powers(upto: int) -> list[LaurentPoly]:
     return powers
 
 
+def _state_counts(n: int, mate: list[int]) -> list[list[int]]:
+    """Count states by (number of A smoothings, circle count).
+
+    Returns an (n+1) x (n+2) matrix M with M[a][c] the number of states
+    having a A-smoothings and c circles.  State bit i set means crossing
+    i takes the B smoothing.
+    """
+    smoothings = [(smoothing(i, "A"), smoothing(i, "B")) for i in range(n)]
+    rho = [0] * (4 * n)
+    counts = [[0] * (n + 2) for _ in range(n + 1)]
+    for state in range(1 << n):
+        acount = n
+        for i, (a, b) in enumerate(smoothings):
+            if (state >> i) & 1:
+                acount -= 1
+                rho[4 * i:4 * i + 4] = b
+            else:
+                rho[4 * i:4 * i + 4] = a
+        orbits = orbit_count(mate, rho)
+        if orbits & 1 or orbits // 2 > n + 1:
+            raise RuntimeError(
+                f"state enumeration failed on a connected diagram: "
+                f"{orbits} orbits at {n} crossings")
+        counts[acount][orbits // 2] += 1
+    return counts
+
+
 def bracket(pd: PlanarDiagram) -> LaurentPoly:
     """Kauffman bracket by exact state sum, variable A."""
     n = pd.n
@@ -150,16 +174,13 @@ def bracket(pd: PlanarDiagram) -> LaurentPoly:
         return LaurentPoly.one("A")
     if not is_connected(pd):
         raise ValueError("bracket needs a connected diagram")
-    cr_ends = np.arange(4 * n, dtype=np.int64).reshape(n, 4)
-    counts = _kernels.state_matrix(n, cr_ends, end_mates(pd))
-    if counts.size == 0:
-        raise RuntimeError("state enumeration failed on a connected diagram")
+    counts = _state_counts(n, end_mates(pd))
     dpow = _delta_powers(n + 1)
     acc = LaurentPoly.zero("A")
     for loops in range(1, n + 2):
         col: dict[int, int] = {}
         for a in range(n + 1):
-            c = int(counts[a, loops])
+            c = counts[a][loops]
             if c:
                 col[2 * a - n] = c
         if col:

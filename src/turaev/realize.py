@@ -26,9 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _kernels
 from .dt import DtCode
 
 __all__ = [
@@ -124,6 +121,39 @@ def _assemble(code: DtCode, mask: int) -> PlanarDiagram:
     return PlanarDiagram(tuple(crossings))
 
 
+def _scan_orientations(n: int, under: list[int], over: list[int]) -> int:
+    """Return the first orientation mask embedding the code, or -1.
+
+    Bit 0 of the lexicographic word (crossing 0) is pinned to 0, which
+    selects one diagram out of each mirror pair.  The mask packs bits
+    for crossings 1..n-1 with crossing 1 most significant.  Ends are
+    numbered by pass time, as ``orbit_count`` describes.
+    """
+    two_n = 2 * n
+    mate = [0] * (4 * n)
+    for t in range(two_n):
+        nxt = (t + 1) % two_n
+        mate[2 * t] = 2 * nxt + 1
+        mate[2 * nxt + 1] = 2 * t
+    sigma = [0] * (4 * n)
+    for mask in range(1 << (n - 1)):
+        for i in range(n):
+            b = 0 if i == 0 else (mask >> (n - 1 - i)) & 1
+            s0 = 2 * under[i] + 1
+            s2 = 2 * under[i]
+            if b == 0:
+                s1, s3 = 2 * over[i] + 1, 2 * over[i]
+            else:
+                s1, s3 = 2 * over[i], 2 * over[i] + 1
+            sigma[s0] = s1
+            sigma[s1] = s2
+            sigma[s2] = s3
+            sigma[s3] = s0
+        if orbit_count(mate, sigma) == n + 2:
+            return mask
+    return -1
+
+
 def realize(code: DtCode) -> PlanarDiagram:
     """Realize a code as a plane diagram, or raise NotRealizable.
 
@@ -133,12 +163,7 @@ def realize(code: DtCode) -> PlanarDiagram:
     """
     if code.n == 0:
         return PlanarDiagram(())
-    under, over = _pass_times(code)
-    mask = int(
-        _kernels.realize_search(
-            code.n, np.asarray(under, np.int64), np.asarray(over, np.int64)
-        )
-    )
+    mask = _scan_orientations(code.n, *_pass_times(code))
     if mask < 0:
         raise NotRealizable(
             f"no planar orientation assignment for {code}: every "
@@ -170,14 +195,14 @@ def _end_positions(pd: PlanarDiagram) -> tuple[dict[int, tuple[int, int]], dict[
     return arrive, depart
 
 
-def end_mates(pd: PlanarDiagram) -> np.ndarray:
+def end_mates(pd: PlanarDiagram) -> list[int]:
     """Involution pairing the two ends of each edge.
 
     Ends are numbered 4 * crossing + slot.  mate[arrival end] is the
     matching departure end and vice versa.
     """
     arrive, depart = _end_positions(pd)
-    mate = np.empty(4 * pd.n, np.int64)
+    mate = [0] * (4 * pd.n)
     for e in range(1, pd.n_edges + 1):
         ca, sa = arrive[e]
         cd, sd = depart[e]
@@ -186,22 +211,48 @@ def end_mates(pd: PlanarDiagram) -> np.ndarray:
     return mate
 
 
+def orbit_count(mate: list[int], turn: list[int]) -> int:
+    """Number of orbits of ``e -> turn[mate[e]]`` on the ends 0..len(mate)-1.
+
+    ``mate`` pairs the two ends of each edge and ``turn`` says where a
+    walk goes next at the crossing it arrives at.  Two end numberings
+    use this:
+
+    - A realized diagram numbers its ends 4 * crossing + slot
+      (``end_mates``).  With ``turn`` the next slot counterclockwise the
+      orbits are the faces of the rotation system.  With ``turn`` a
+      smoothing, an involution pairing the four ends of each crossing,
+      they are the circles of the smoothed diagram.  Since ``turn`` and
+      ``mate`` are then both involutions, every circle is traced twice,
+      once per direction, so the orbit count is exactly twice the
+      number of circles.
+    - The realization search numbers ends by 0-based pass time t in
+      [0, 2n): the strand leaves the crossing of pass t through the
+      out-end 2t and arrives at the crossing of pass t+1 through the
+      in-end 2(t+1) + 1.  The edge pairing is then fixed once per code,
+      while ``turn``, the cyclic order at each crossing, depends on the
+      orientation bit being searched.  A candidate embeds the diagram
+      in the sphere exactly when the face count hits n + 2.
+    """
+    seen = [False] * len(mate)
+    orbits = 0
+    for e0 in range(len(mate)):
+        if not seen[e0]:
+            orbits += 1
+            e = e0
+            while not seen[e]:
+                seen[e] = True
+                e = turn[mate[e]]
+    return orbits
+
+
 def face_count(pd: PlanarDiagram) -> int:
     """Number of faces of the rotation system (n + 2 exactly on a sphere)."""
     if pd.n == 0:
         return 2
-    mate = end_mates(pd)
-    seen = [False] * (4 * pd.n)
-    faces = 0
-    for e0 in range(4 * pd.n):
-        if not seen[e0]:
-            faces += 1
-            e = e0
-            while not seen[e]:
-                seen[e] = True
-                m = int(mate[e])
-                e = (m & ~3) | ((m + 1) & 3)  # rotate one slot at the far crossing
-    return faces
+    # the next slot counterclockwise at the same crossing
+    turn = [(e & ~3) | ((e + 1) & 3) for e in range(4 * pd.n)]
+    return orbit_count(end_mates(pd), turn)
 
 
 def validate_diagram(pd: PlanarDiagram) -> None:

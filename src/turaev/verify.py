@@ -17,15 +17,13 @@ rows whose conway_check is "anomalous" downgrade to warnings: the row
 stays visible without masking the DT-level result.
 
 Rendered report bodies (text, JSON, CSV) exclude the wall-clock
-duration, so two runs over the same corpus are byte identical no
-matter the worker count.
+duration, so two runs over the same corpus are byte identical.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import __version__
@@ -161,16 +159,11 @@ def verify_row(row: CorpusRow) -> RowResult:
         genus_rep=genus_rep, warnings=warnings)
 
 
-def verify_all(rows: list[CorpusRow], workers: int = 1,
+def verify_all(rows: list[CorpusRow],
                corpus_digest: str = "") -> VerificationReport:
     """Evaluate all rows; results are sorted by name before reporting."""
     t0 = time.perf_counter()
-    if workers <= 1:
-        results = [verify_row(r) for r in rows]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(verify_row, rows))
-    results.sort(key=lambda r: r.name)
+    results = sorted((verify_row(r) for r in rows), key=lambda r: r.name)
     verified = sum(1 for r in results if r.verdict == VERIFIED)
     failed = sum(1 for r in results if r.verdict == FAILED)
     open_rows = sum(1 for r in results if r.verdict == OPEN)

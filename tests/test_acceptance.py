@@ -1,8 +1,9 @@
 """End-to-end acceptance gate over the embedded corpus.
 
 Each test covers one acceptance property and prints a single
-machine-greppable PASS/FAIL/SKIP line (written past pytest's capture),
-so a full run shows the whole scorecard:
+machine-greppable PASS/FAIL/SKIP line.  ``conftest.py`` repeats the
+captured lines in the terminal summary, so a full run shows the whole
+scorecard:
 
     acceptance 01 corpus-counts                PASS
     ...
@@ -16,14 +17,13 @@ The numbered properties: (01) corpus loads and validates with the
 published row counts; (02) every representative code classifies
 AlmostAlternating and every minimal code Other; (03) every DT code
 realizes to a planar diagram with n + 2 faces; (04) all 155 resolved
-pairs have mirror-equal Jones polynomials within a 60 s single-worker
-budget; (05) Turaev genus is 1 on every representative diagram, at
-least 1 on every minimal diagram, and never 0 on a mixed-sign corpus
-diagram; (06) the Jones span is below the crossing number on every
-minimal code; (07) the state-sum bracket equals the recursive skein
-bracket on 50 seeded random realizable codes with 3 to 8 crossings
-(every corpus code has 11 or more crossings, past the skein oracle's
-reach, and is not used);
+pairs have mirror-equal Jones polynomials within a 60 s budget; (05)
+Turaev genus is 1 on every representative diagram, at least 1 on every
+minimal diagram, and never 0 on a mixed-sign corpus diagram; (06) the
+Jones span is below the crossing number on every minimal code; (07) the
+state-sum bracket equals the recursive skein bracket on 50 seeded
+random realizable codes with 3 to 8 crossings (every corpus code has 11
+or more crossings, past the skein oracle's reach, and is not used);
 (08) every alignable substitution pair verifies, the K12n748 anomaly
 warns, and synthesis round-trips fractions; (09) the trefoil and
 (3, 3, -2) pretzel fixtures give their known genus and span values.
@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import random
-import sys
 import time
 
 import pytest
@@ -64,8 +63,7 @@ _JONES: dict[str, object] = {}
 def _line(num: int, name: str, ok: bool | None, detail: str = "") -> None:
     state = "SKIP" if ok is None else "PASS" if ok else "FAIL"
     extra = f"  ({detail})" if detail else ""
-    print(f"acceptance {num:02d} {name:<26} {state}{extra}",
-          file=sys.__stdout__, flush=True)
+    print(f"acceptance {num:02d} {name:<26} {state}{extra}")
 
 
 def _needs_corpus(num: int, name: str):

@@ -8,6 +8,10 @@ the acceptance tests.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,13 @@ class TestSingleShotCommands:
         assert main(["tangle-synthesize", "-3/5"]) == 0
         word = capsys.readouterr().out.strip()
         assert word.count("-1") == 1
+        # fractions not in lowest terms, or with a negative denominator,
+        # name the same rational as their reduced form
+        for text, reduced in (("-6/4", "-3/2"), ("-3/-5", "3/5")):
+            assert main(["tangle-synthesize", text]) == 0
+            assert main(["tangle-synthesize", reduced]) == 0
+            got, want = capsys.readouterr().out.splitlines()
+            assert got == want
 
     def test_bad_dt_code_exits_2(self, capsys):
         assert main(["jones", "{{3},{4,6"]) == 2
@@ -54,6 +65,23 @@ class TestSingleShotCommands:
     def test_bad_fraction_exits_2(self, capsys):
         assert main(["tangle-synthesize", "x/y"]) == 2
         assert "error" in capsys.readouterr().err
+
+
+def test_runs_without_numpy():
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "import turaev, turaev.cli\n"
+        "raise SystemExit(turaev.cli.main(['jones', '{{3},{4,6,2}}']))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "-1*t^-4 + 1*t^-3 + 1*t^-1"
 
 
 class TestVerifyPlumbing:

@@ -143,19 +143,3 @@ def test_signs_do_not_affect_realizability() -> None:
             validate_diagram(d)
             assert face_count(d) == n + 2
 
-
-def test_kernel_paths_agree() -> None:
-    import numpy as np
-
-    from turaev._kernels import realize_search, realize_search_py
-    from turaev.realize import _pass_times
-
-    rng = random.Random(7)
-    for _ in range(80):
-        n = rng.randint(2, 8)
-        evens = list(range(2, 2 * n + 1, 2))
-        rng.shuffle(evens)
-        code = DtCode(n, tuple(a if rng.random() < 0.5 else -a for a in evens))
-        u, o = _pass_times(code)
-        ua, oa = np.asarray(u, np.int64), np.asarray(o, np.int64)
-        assert realize_search(n, ua, oa) == realize_search_py(n, ua, oa)

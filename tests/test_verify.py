@@ -133,9 +133,9 @@ class TestVerifyAll:
         names = [r.name for r in report.results]
         assert names == sorted(names)
 
-    def test_worker_count_does_not_change_renderings(self):
-        a = verify_all(self._rows(), workers=1)
-        b = verify_all(self._rows(), workers=8)
+    def test_two_runs_render_identically(self):
+        a = verify_all(self._rows())
+        b = verify_all(self._rows())
         for render in (render_text, render_json, render_csv):
             assert render(a) == render(b)
 
