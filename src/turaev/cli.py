@@ -63,9 +63,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_syn = sub.add_parser(
         "tangle-synthesize",
-        help="word with a single -1 realizing fraction P/Q")
+        help="tangle word with fraction P/Q: for P/Q < 0 the shortest "
+             "word whose only negative entry is a single -1, for P/Q >= 0 "
+             "the plain continued-fraction word")
     p_syn.add_argument("pq", metavar="P/Q",
-                       help='e.g. "7/3", "-3/5", or "1/0"')
+                       help='a finite rational, e.g. "-3/5" or "7/3"')
     # let a leading minus read as a fraction, not an option flag
     import re
     p_syn._negative_number_matcher = re.compile(r"^-\d+(/-?\d+)?$")

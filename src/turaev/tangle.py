@@ -17,15 +17,24 @@ digit after it ("4 - 111" is [4, -1, 1, 1]).  Machine output is
 space-separated ("4 -1 1 1"); both spellings parse identically.
 
 ``synthesize_one_minus_one`` finds, for a negative fraction, an
-equivalent word whose only negative entry is a single -1, searching
-words of length at most 12 with entries in [-1, 9] in breadth-first
-order (shortest first, lexicographic within a length), so the result
-is deterministic.  The enumeration is realized as a meet-in-the-middle
-search: prefix values and suffix requirements are tabulated to half
-depth and joined, which reaches length 12 where the plain level-by-
-level enumeration would need ~10^12 states.  Nonnegative fractions are
-returned as their plain continued-fraction word with no -1 at all; the
-caller can tell the two cases apart by whether -1 occurs.
+equivalent word whose only negative entry is a single -1, among words
+of length at most 12 with entries in [-1, 9], and returns the first
+one in (length, lexicographic) order, so the result is deterministic.
+It searches by structure rather than by tabulation: every such word is
+P, -1, T with P over 1..9, so P spells the continued fraction of its
+own value y >= 1 and is read off, not searched, once T is fixed.  T is
+walked backward from the target.  At a backward node v (the value
+right after the -1), write -v = [0; a_1 .. a_k]; a further backward
+step only prepends entries to this continued fraction, so every
+descendant's P repeats a_2 .. a_{k-1} and nearly a_1 and a_k.  The
+pruning lemma in the function's docstring turns this into cuts of
+every subtree that would need an entry above 9 or a longer word than
+the best one found.  No state is kept between calls.  This follows the
+continued-fraction normal forms of rational tangles (Kauffman and
+Lambropoulou, "On the classification of rational tangles", 2004).
+Nonnegative fractions are returned as their plain continued-fraction
+word with no -1 at all; the caller can tell the two cases apart by
+whether -1 occurs.
 
 Not every rational is representable under those bounds: digits stop at
 9, so fractions whose continued fractions need a partial quotient
@@ -37,7 +46,6 @@ from __future__ import annotations
 
 import math
 import re
-import threading
 from dataclasses import dataclass
 
 __all__ = [
@@ -98,9 +106,9 @@ class ExtendedRational:
 
     @staticmethod
     def parse(text: str) -> ExtendedRational:
-        """Parse "p/q" or a bare integer."""
+        """Parse "p/q" or a bare integer, in ASCII digits."""
         body = text.strip()
-        m = re.fullmatch(r"(-?\d+)\s*(?:/\s*(-?\d+))?", body)
+        m = re.fullmatch(r"(-?[0-9]+)\s*(?:/\s*(-?[0-9]+))?", body)
         if not m:
             raise ValueError(f"not a rational: {text!r}")
         p = int(m.group(1))
@@ -145,7 +153,12 @@ class TangleWord:
 
 
 def parse_word(text: str) -> TangleWord:
-    """Read digit-per-entry notation, signs attaching to the next digit."""
+    """Read digit-per-entry notation, signs attaching to the next digit.
+
+    Only the ASCII digits 0-9 are entries; any other character that is
+    not a space or a sign, other scripts' digits included, is
+    malformed.
+    """
     entries: list[int] = []
     negate = False
     for ch in text:
@@ -155,7 +168,7 @@ def parse_word(text: str) -> TangleWord:
             if negate:
                 raise MalformedWord(f"doubled sign in {text!r}")
             negate = True
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             value = int(ch)
             entries.append(-value if negate else value)
             negate = False
@@ -181,172 +194,31 @@ def fraction(w: TangleWord) -> ExtendedRational:
     return acc
 
 
+def _continued_fraction(p: int, d: int) -> list[int]:
+    """Partial quotients [c_0; c_1, .., c_m] of p/d for p >= 0, d > 0."""
+    quotients: list[int] = []
+    while d:
+        quotients.append(p // d)
+        p, d = d, p % d
+    return quotients
+
+
 def _nonnegative_word(q: ExtendedRational) -> TangleWord:
     """Plain continued-fraction word for q >= 0 (reversed digit order)."""
-    digits: list[int] = []
-    p, d = q.p, q.q
-    while True:
-        digits.append(p // d)
-        p, d = d, p - (p // d) * d
-        if d == 0:
-            break
+    digits = _continued_fraction(q.p, q.q)
     if any(x > MAX_ENTRY for x in digits):
         raise NotFound(f"continued fraction of {q} exceeds the entry bound")
     return TangleWord(tuple(reversed(digits)))
 
 
-# Search states are bare (numerator, denominator, minus_one_flag)
-# tuples: the flag on a prefix state records whether the -1 was spent,
-# on a suffix state whether the -1 still has to appear in the suffix.
-_State = tuple[int, int, bool]
-
-_HALF_DEPTH = MAX_SYNTH_LENGTH // 2
-
-
-def _step(p: int, d: int, e: int) -> tuple[int, int]:
-    """Fraction after appending entry e to a word with fraction p/d."""
-    r = ExtendedRational.make(d, p).plus_int(e)
-    return r.p, r.q
-
-
-def _unstep(p: int, d: int, e: int) -> tuple[int, int]:
-    """Fraction before a final entry e was appended."""
-    r = ExtendedRational.make(p - e * d, d).recip()
-    return r.p, r.q
-
-
-class _PrefixTable:
-    """Minimum length of a valid prefix per reachable (fraction, -1
-    used) state, grown level by level and shared across calls."""
-
-    def __init__(self) -> None:
-        self.min_len: dict[_State, int] = {}
-        self.depth = 0
-        self._frontier: list[_State] = []
-        self._lock = threading.Lock()
-
-    def grow_to(self, depth: int) -> None:
-        with self._lock:
-            while self.depth < min(depth, _HALF_DEPTH):
-                self._grow()
-
-    def _grow(self) -> None:
-        fresh: list[_State] = []
-        if self.depth == 0:
-            for e in range(-1, 10):
-                if e == 0:  # a zero is only legal as the final entry
-                    continue
-                fresh.append((e, 1, e == -1))
-        else:
-            for p, d, used in self._frontier:
-                for e in range(-1, 10):
-                    if e == 0 or (e == -1 and used):
-                        continue
-                    np_, nd = _step(p, d, e)
-                    state = (np_, nd, used or e == -1)
-                    if state not in self.min_len:
-                        fresh.append(state)
-        for state in fresh:
-            self.min_len[state] = self.depth + 1
-        self._frontier = fresh
-        self.depth += 1
-
-
-_PREFIXES = _PrefixTable()
-
-
-class _SuffixTable:
-    """Minimum number of trailing entries turning a (fraction, -1
-    still pending) state into the target; one instance per search."""
-
-    def __init__(self, q: ExtendedRational) -> None:
-        self.min_peel: dict[_State, int] = {(q.p, q.q, False): 0}
-        self.depth = 0
-        self._frontier: list[_State] = [(q.p, q.q, False)]
-
-    def grow(self) -> None:
-        fresh: list[_State] = []
-        final = self.depth == 0
-        for p, d, used in self._frontier:
-            for e in range(-1, 10):
-                if e == 0 and not final:
-                    continue
-                if e == -1 and used:
-                    continue
-                pp, pd = _unstep(p, d, e)
-                state = (pp, pd, used or e == -1)
-                if state not in self.min_peel:
-                    fresh.append(state)
-        for state in fresh:
-            self.min_peel[state] = self.depth + 1
-        self._frontier = fresh
-        self.depth += 1
-
-
-def _shortest_total(suffixes: _SuffixTable) -> int | None:
-    """Minimum prefix length + suffix length over all meeting states."""
-    best: int | None = None
-    for (p, d, used), b in suffixes.min_peel.items():
-        a = _PREFIXES.min_len.get((p, d, not used))
-        if a is not None and a + b <= MAX_SYNTH_LENGTH:
-            if best is None or a + b < best:
-                best = a + b
-    return best
-
-
-def _reconstruct(q: ExtendedRational, length: int, suffixes: _SuffixTable) -> tuple[int, ...]:
-    """Lexicographically first valid word of the given (minimal) length.
-
-    Because the length is minimal, a candidate prefix state can finish
-    in exactly r more entries iff the suffix table holds it at exactly
-    r (anything smaller would contradict minimality), so the exact
-    table answers all queries at depth <= half and a short memoized
-    recursion bridges deeper remainders.
-    """
-    memo: dict[tuple[int, int, bool, int], bool] = {}
-
-    def completable(p: int, d: int, used: bool, r: int) -> bool:
-        if r == 0:
-            return used and (p, d) == (q.p, q.q)
-        if r <= suffixes.depth:
-            return suffixes.min_peel.get((p, d, not used)) == r
-        key = (p, d, used, r)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        ok = False
-        for e in _candidates(used, r):
-            np_, nd = _step(p, d, e)
-            if completable(np_, nd, used or e == -1, r - 1):
-                ok = True
-                break
-        memo[key] = ok
-        return ok
-
-    def _candidates(used: bool, r: int) -> list[int]:
-        out = [] if used else [-1]
-        if r == 1:
-            out.append(0)
-        out.extend(range(1, 10))
-        return out
-
-    entries: list[int] = []
-    p, d, used = 0, 1, False
-    for pos in range(length):
-        r = length - pos
-        for e in _candidates(used, r):
-            if pos == 0:
-                np_, nd, nu = e, 1, e == -1
-            else:
-                np_, nd = _step(p, d, e)
-                nu = used or e == -1
-            if completable(np_, nd, nu, r - 1):
-                entries.append(e)
-                p, d, used = np_, nd, nu
-                break
-        else:
-            raise RuntimeError(f"synthesis reconstruction dead end at {entries}")
-    return tuple(entries)
+def _prefixes(p: int, d: int) -> list[tuple[int, ...]]:
+    """The words over 1..9 whose fraction is p/d >= 1: the continued
+    fraction in both spellings, ending in c_m or in c_m - 1, 1."""
+    quotients = _continued_fraction(p, d)
+    spellings = [quotients]
+    if quotients[-1] >= 2:
+        spellings.append([*quotients[:-1], quotients[-1] - 1, 1])
+    return [tuple(reversed(s)) for s in spellings if max(s) <= 9]
 
 
 def synthesize_one_minus_one(q: ExtendedRational) -> TangleWord:
@@ -356,38 +228,51 @@ def synthesize_one_minus_one(q: ExtendedRational) -> TangleWord:
     with no -1 entry at all.  Negative q is resolved to the first word
     in (length, lexicographic) order among words of length <= 12 with
     entries in [-1, 9] and zeros only in final position.
+
+    Such a word is P, -1, T.  The search walks T backward from q, one
+    node per suffix, with v <- 1/(v - e); at a node v < 0 (the value
+    right after the -1) the prefix has fraction y = 1/(1 + v), so P is
+    empty at v = -1 and otherwise, for -1 < v < 0, one of the two
+    spellings of the continued fraction of y (see ``_prefixes``).
+
+    Pruning lemma.  Write -v = [0; a_1 .. a_k] for -1 < v < 0.  A
+    backward step only prepends entries to this continued fraction
+    (after a final zero step from the root, a_1 grows instead), so the
+    continued fraction of y at every descendant holds a_2 .. a_{k-1}
+    verbatim, a_1 or a_1 + 1 (at least a_1), and a_k or a_k - 1 in
+    last place.  The subtree is dead when some a_i > 9 for i < k or
+    a_k > 10, and each of its words has length >= len(T) + k + 2.
     """
     if q.is_infinite:
         raise ValueError("cannot synthesize a word for infinity")
     if q.p >= 0:
         return _nonnegative_word(q)
 
-    suffixes = _SuffixTable(q)
-    _PREFIXES.grow_to(1)
-    while True:
-        best = _shortest_total(suffixes)
-        bounds = []
-        if _PREFIXES.depth < _HALF_DEPTH:
-            bounds.append(_PREFIXES.depth + 1)  # a newly found prefix, b >= 0
-        if suffixes.depth < _HALF_DEPTH:
-            bounds.append(suffixes.depth + 2)  # a >= 1 plus a longer suffix
-        if best is not None and (not bounds or best <= min(bounds)):
-            break
-        if not bounds:
-            break
-        if suffixes.depth <= _PREFIXES.depth and suffixes.depth < _HALF_DEPTH:
-            suffixes.grow()
-        else:
-            _PREFIXES.grow_to(_PREFIXES.depth + 1)
+    best: tuple[int, tuple[int, ...]] | None = None  # (length, word)
 
+    def visit(p: int, d: int, tail: tuple[int, ...]) -> None:
+        """Node v = p/d < 0, the value right after the -1 when T = tail."""
+        nonlocal best
+        heads = [()] if p == -d else _prefixes(d, d + p) if -p < d else []
+        for head in heads:
+            key = (len(tail) + len(head) + 1, (*head, -1, *tail))
+            if key[0] <= MAX_SYNTH_LENGTH and (best is None or key < best):
+                best = key
+        a = _continued_fraction(-p, d)[1:] if -p < d else []
+        if a and (any(x > 9 for x in a[:-1]) or a[-1] > 10):
+            return
+        if len(tail) + len(a) + 2 > (best[0] if best else MAX_SYNTH_LENGTH):
+            return
+        for e in range(1 if tail else 0, 10):  # a zero only in final position
+            visit(-d, e * d - p, (e, *tail))
+
+    visit(q.p, q.q, ())
     if best is None:
         raise NotFound(
             f"no word of length <= {MAX_SYNTH_LENGTH} with entries in [-1, 9] "
             f"and one -1 entry has fraction {q}"
         )
-    while suffixes.depth < min(_HALF_DEPTH, best - 1):
-        suffixes.grow()
-    return TangleWord(_reconstruct(q, best, suffixes))
+    return TangleWord(best[1])
 
 
 def verify_substitution(left: TangleWord, right: TangleWord) -> bool:

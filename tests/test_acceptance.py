@@ -63,7 +63,9 @@ _JONES: dict[str, object] = {}
 def _line(num: int, name: str, ok: bool | None, detail: str = "") -> None:
     state = "SKIP" if ok is None else "PASS" if ok else "FAIL"
     extra = f"  ({detail})" if detail else ""
-    print(f"acceptance {num:02d} {name:<26} {state}{extra}")
+    # start a fresh line: with capture off (-s) the progress mark of the
+    # previous test is still on the current one
+    print(f"\nacceptance {num:02d} {name:<26} {state}{extra}")
 
 
 def _needs_corpus(num: int, name: str):

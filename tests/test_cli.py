@@ -62,9 +62,16 @@ class TestSingleShotCommands:
         assert main(["jones", "{{3},{4,6"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_tangle_synthesize_nonnegative(self, capsys):
+        # no -1 entry: the plain continued-fraction word
+        assert main(["tangle-synthesize", "3/5"]) == 0
+        assert capsys.readouterr().out.strip() == "2 1 1 0"
+
     def test_bad_fraction_exits_2(self, capsys):
         assert main(["tangle-synthesize", "x/y"]) == 2
         assert "error" in capsys.readouterr().err
+        assert main(["tangle-synthesize", "1/0"]) == 2
+        assert "infinity" in capsys.readouterr().err
 
 
 def test_runs_without_numpy():

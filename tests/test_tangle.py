@@ -1,15 +1,21 @@
 """Tangle word parsing, fractions, synthesis, and substitution checks.
 
-Synthesis is cross-checked for exact (length, lexicographic) agreement
-against a plain level-by-level enumeration oracle on targets with
-short answers, and for fraction round-trips on random targets drawn as
-fractions of random valid words, so every sampled target is genuinely
-representable within the search bounds.
+Synthesis has two oracles that share no code with the search: an
+exhaustive enumeration of every word of length <= 5, whose first word
+in (length, lexicographic) order for each negative fraction must come
+back exactly, and the table of all coprime -p/q with p, q <= 40 in
+``perfbench/golden.json``, recorded from an independent
+meet-in-the-middle search (found words and NotFounds alike).  Random
+targets drawn as fractions of random valid words check the fraction
+round trip up to the full length of 12.
 """
 
 from __future__ import annotations
 
+import json
+import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -31,30 +37,37 @@ def _er(text: str) -> ExtendedRational:
     return ExtendedRational.parse(text)
 
 
-def _bfs_oracle(q: ExtendedRational, max_len: int = 4) -> tuple[int, ...] | None:
-    """First word in (length, lex) order with fraction q, one -1 entry,
-    zeros final only; plain enumeration without any pruning."""
-    level: list[tuple[tuple[int, ...], ExtendedRational, bool]] = [
-        ((e,), ExtendedRational.from_int(e), e == -1) for e in range(-1, 10)
-    ]
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+
+
+def _first_words(max_len: int) -> dict[tuple[int, int], tuple[int, ...]]:
+    """First word in (length, lex) order for each negative fraction p/q
+    reached by a word with one -1 entry, entries in [-1, 9] and zeros
+    final only: plain enumeration over integer pairs, no pruning."""
+    first: dict[tuple[int, int], tuple[int, ...]] = {}
+    level = [((e,), e, 1) for e in range(-1, 10)]  # (word, p, q)
     for length in range(1, max_len + 1):
-        for word, frac, used in level:
-            if used and frac == q:
-                return word
-        if length == max_len:
-            break
-        grown = []
-        for word, frac, used in level:
-            if word[-1] == 0:
-                continue
-            for e in range(-1, 10):
-                if e == -1 and used:
-                    continue
-                grown.append(
-                    ((*word, e), frac.recip().plus_int(e), used or e == -1)
-                )
-        level = grown
-    return None
+        for word, p, q in level:
+            if q and p < 0 and -1 in word:
+                first.setdefault((p, q), word)
+        if length < max_len:
+            level = [
+                ((*word, e), *_append(p, q, e))
+                for word, p, q in level
+                if word[-1] != 0
+                for e in range(-1, 10)
+                if not (e == -1 and -1 in word)
+            ]
+    return first
+
+
+def _append(p: int, q: int, e: int) -> tuple[int, int]:
+    """p/q -> e + q/p in lowest terms with q >= 0; (1, 0) is infinity."""
+    p, q = e * p + q, p
+    if q < 0:
+        p, q = -p, -q
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 class TestParseRender:
@@ -70,9 +83,31 @@ class TestParseRender:
         assert parse_word("2 1 -1 0").entries == (2, 1, -1, 0)
 
     def test_malformed(self) -> None:
-        for bad in ("", "   ", "4 -", "-", "- -2", "2a", "20 2", "4 . 1"):
+        for bad in ("", "   ", "4 -", "-", "- -2", "2a", "20 2", "4 . 1",
+                    "2\u00b2", "\u0663 1"):
             with pytest.raises(MalformedWord):
                 parse_word(bad)
+
+    def test_fuzzed_text_raises_only_documented_errors(self) -> None:
+        # digits of other scripts and superscripts are not entries
+        rng = random.Random(57)
+        digits, foreign = "0123456789", "\u00b2\u0663"
+        alphabet = digits + "-/ " + foreign
+        for _ in range(3000):
+            text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+            try:
+                w = parse_word(text)
+            except MalformedWord:
+                pass
+            else:
+                assert not set(text) & set(foreign + "/")
+                assert len(w.entries) == sum(ch in digits for ch in text)
+            try:
+                ExtendedRational.parse(text)
+            except ValueError:
+                pass
+            else:
+                assert not set(text) & set(foreign)
 
     def test_word_invariants(self) -> None:
         with pytest.raises(MalformedWord):
@@ -119,8 +154,9 @@ class TestExtendedRational:
         assert _er("-3/2") == ExtendedRational(-3, 2)
         assert _er("7") == ExtendedRational(7, 1)
         assert _er(" 4 / 6 ") == ExtendedRational(2, 3)
-        with pytest.raises(ValueError):
-            _er("three")
+        for bad in ("three", "\u0663", "2/\u0663", "2\u00b2"):
+            with pytest.raises(ValueError):
+                _er(bad)
         assert str(_er("-3/2")) == "-3/2"
         assert str(_er("7")) == "7"
         assert str(ExtendedRational(1, 0)) == "inf"
@@ -171,20 +207,20 @@ class TestSynthesize:
             assert fraction(w) == _er(q)
 
     def test_matches_plain_enumeration(self) -> None:
-        rng = random.Random(31)
-        checked = 0
-        while checked < 20:
-            n = rng.randint(1, 3)
-            entries = [rng.randint(1, 9) for _ in range(n)]
-            entries[rng.randrange(n)] = -1
-            target = fraction(TangleWord(tuple(entries)))
-            if target.is_infinite or target.p >= 0:
-                continue
-            want = _bfs_oracle(target)
-            if want is None:
-                continue
-            assert synthesize_one_minus_one(target).entries == want
-            checked += 1
+        first = _first_words(5)
+        assert len(first) == 7399
+        for (p, q), want in first.items():
+            assert synthesize_one_minus_one(ExtendedRational(p, q)).entries == want
+
+    def test_matches_golden_table(self) -> None:
+        targets = json.loads(GOLDEN.read_text())["synth-search"]["targets"]
+        assert len(targets) == 979
+        for text, want in targets.items():
+            try:
+                got = render_word(synthesize_one_minus_one(_er(text)))
+            except NotFound:
+                got = None
+            assert got == want, text
 
     def test_nonnegative_passthrough(self) -> None:
         for q, want in [("7/3", "3 2"), ("0", "0"), ("5", "5"), ("1/2", "2 0")]:
@@ -234,7 +270,7 @@ class TestSynthesize:
 
     def test_deterministic_across_calls(self) -> None:
         first = synthesize_one_minus_one(_er("-5/2"))
-        synthesize_one_minus_one(_er("-9/7"))  # warms the shared table
+        synthesize_one_minus_one(_er("-9/7"))
         assert synthesize_one_minus_one(_er("-5/2")) == first
 
 
