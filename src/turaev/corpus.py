@@ -87,7 +87,7 @@ ANOMALOUS_ROWS = frozenset({"K12n748"})
 
 _STATUSES = ("resolved", "open")
 _SOURCES = ("table1+2", "table3", "prose")
-_NAME_RE = re.compile(r"^K(\d+)n(\d+)$")
+_NAME_RE = re.compile(r"^K([0-9]+)n([0-9]+)$")
 
 _EXPECTED = {"resolved_12": 154, "open_12": 35, "resolved_11": 1, "open_11": 2}
 

@@ -87,19 +87,13 @@ def is_connected(pd: PlanarDiagram) -> bool:
     """True when the underlying 4-valent graph has one component."""
     if pd.n <= 1:
         return True
-    edge_home: dict[int, list[int]] = {}
-    for c, cr in enumerate(pd.crossings):
-        for e in cr.slots:
-            edge_home.setdefault(e, []).append(c)
-    adj: dict[int, set[int]] = {c: set() for c in range(pd.n)}
-    for homes in edge_home.values():
-        a, b = homes[0], homes[-1]
-        adj[a].add(b)
-        adj[b].add(a)
+    mate = end_mates(pd)
     seen = {0}
     stack = [0]
     while stack:
-        for nb in adj[stack.pop()]:
+        c = stack.pop()
+        for e in range(4 * c, 4 * c + 4):
+            nb = mate[e] // 4
             if nb not in seen:
                 seen.add(nb)
                 stack.append(nb)

@@ -18,8 +18,9 @@ knots with unsigned even labels.  A code whose entries all share one
 sign except for a single minority entry describes an almost
 alternating diagram: flipping that one crossing restores alternation.
 
-Text form: ``{{n},{a_1,a_2,...,a_n}}``.  Whitespace may appear between
-tokens on input and is never emitted on output.
+Text form: ``{{n},{a_1,a_2,...,a_n}}``, numbers in the ASCII digits
+0-9 only.  Whitespace may appear between tokens on input and is never
+emitted on output.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class SignClass:
 
 
 _DT_RE = re.compile(
-    r"""^\s*\{\s*\{\s*(\d+)\s*\}\s*,\s*\{\s*((?:-?\d+\s*(?:,\s*-?\d+\s*)*)?)\}\s*\}\s*$""",
+    r"""^\s*\{\s*\{\s*([0-9]+)\s*\}\s*,\s*\{\s*((?:-?[0-9]+\s*(?:,\s*-?[0-9]+\s*)*)?)\}\s*\}\s*$""",
     re.VERBOSE,
 )
 

@@ -1,24 +1,30 @@
 """Exact Laurent polynomials, Kauffman bracket, Jones polynomial.
 
-The bracket is the full state sum
+The bracket is the state sum
 
     <D> = sum over states  A^(a - b) * (-A^2 - A^-2)^(loops - 1)
 
-evaluated exactly: the enumeration reduces the 2^n states to a small
-integer matrix counting states by (number of A smoothings, loop count),
-and the polynomial is assembled from that matrix in arbitrary-precision
-integers.  Jones is the usual writhe normalization V = (-A)^(-3w) <D>
-rewritten in t = A^-4; the exponent division by 4 is asserted, so a
-convention bug anywhere upstream fails loudly instead of producing a
-quietly wrong polynomial.
+computed by contracting the diagram one crossing at a time, in storage
+order (Bar-Natan's local contraction, in its bracket form).  A partial
+state is an arc table over the ends 4c + s: each live end maps to the
+other end of its arc, and -1 marks an end already smoothed.  Smoothing
+a crossing either closes a circle or splices two arcs.  Partial states
+with equal arc tables are merged, their counts kept by (number of A
+smoothings, circles closed), so the cost follows the number of distinct
+tables alive at once rather than 2^n.  The polynomial is assembled from
+the final counts in arbitrary-precision integers.  Jones is the usual
+writhe normalization V = (-A)^(-3w) <D> rewritten in t = A^-4; the
+exponent division by 4 is asserted, so a convention bug anywhere
+upstream fails loudly instead of producing a quietly wrong polynomial.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .diagram import is_connected, smoothing, writhe
-from .realize import PlanarDiagram, end_mates, orbit_count
+from .realize import PlanarDiagram, end_mates
 
 __all__ = [
     "LaurentPoly",
@@ -132,60 +138,44 @@ class LaurentPoly:
         return self.render()
 
 
-def _delta_powers(upto: int) -> list[LaurentPoly]:
-    delta = LaurentPoly.from_dict("A", {2: -1, -2: -1})
-    powers = [LaurentPoly.one("A")]
-    for _ in range(upto):
-        powers.append(powers[-1] * delta)
-    return powers
-
-
-def _state_counts(n: int, mate: list[int]) -> list[list[int]]:
-    """Count states by (number of A smoothings, circle count).
-
-    Returns an (n+1) x (n+2) matrix M with M[a][c] the number of states
-    having a A-smoothings and c circles.  State bit i set means crossing
-    i takes the B smoothing.
-    """
-    smoothings = [(smoothing(i, "A"), smoothing(i, "B")) for i in range(n)]
-    rho = [0] * (4 * n)
-    counts = [[0] * (n + 2) for _ in range(n + 1)]
-    for state in range(1 << n):
-        acount = n
-        for i, (a, b) in enumerate(smoothings):
-            if (state >> i) & 1:
-                acount -= 1
-                rho[4 * i:4 * i + 4] = b
-            else:
-                rho[4 * i:4 * i + 4] = a
-        orbits = orbit_count(mate, rho)
-        if orbits & 1 or orbits // 2 > n + 1:
-            raise RuntimeError(
-                f"state enumeration failed on a connected diagram: "
-                f"{orbits} orbits at {n} crossings")
-        counts[acount][orbits // 2] += 1
-    return counts
-
-
 def bracket(pd: PlanarDiagram) -> LaurentPoly:
-    """Kauffman bracket by exact state sum, variable A."""
+    """Kauffman bracket by contracting one crossing at a time, variable A."""
     n = pd.n
     if n == 0:
         return LaurentPoly.one("A")
     if not is_connected(pd):
         raise ValueError("bracket needs a connected diagram")
-    counts = _state_counts(n, end_mates(pd))
-    dpow = _delta_powers(n + 1)
-    acc = LaurentPoly.zero("A")
-    for loops in range(1, n + 2):
-        col: dict[int, int] = {}
-        for a in range(n + 1):
-            c = counts[a][loops]
-            if c:
-                col[2 * a - n] = c
-        if col:
-            acc = acc + LaurentPoly.from_dict("A", col) * dpow[loops - 1]
-    return acc
+    # arc table -> {(A smoothings, closed circles): states}
+    layer = {tuple(end_mates(pd)): {(0, 0): 1}}
+    for c in range(n):
+        merged: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+        for arcs, counts in layer.items():
+            for kind, da in (("A", 1), ("B", 0)):
+                arc = list(arcs)
+                closed = 0
+                for x, y in enumerate(smoothing(c, kind), start=4 * c):
+                    if x > y:
+                        continue
+                    if arc[x] == y:
+                        closed += 1
+                    else:
+                        u, v = arc[x], arc[y]
+                        arc[u], arc[v] = v, u
+                    arc[x] = arc[y] = -1
+                out = merged.setdefault(tuple(arc), {})
+                for (a, loops), states in counts.items():
+                    key = (a + da, loops + closed)
+                    out[key] = out.get(key, 0) + states
+        layer = merged
+    (counts,) = layer.values()
+    # delta^k = (-1)^k sum_j C(k, j) A^(2k - 4j)
+    coeffs: dict[int, int] = {}
+    for (a, loops), states in counts.items():
+        k = loops - 1
+        for j in range(k + 1):
+            e = 2 * a - n + 2 * k - 4 * j
+            coeffs[e] = coeffs.get(e, 0) + (-1) ** k * comb(k, j) * states
+    return LaurentPoly.from_dict("A", coeffs)
 
 
 def _to_t(p: LaurentPoly) -> LaurentPoly:

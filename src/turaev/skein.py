@@ -1,15 +1,18 @@
 """Reference bracket by recursive skein resolution.
 
-Independent cross-check for the state-sum bracket: crossings are
-resolved one at a time, splicing arcs as we go, instead of enumerating
-whole states against a fixed loop counter.  An arc table maps each
-loose end to the opposite end of its arc; smoothing a crossing either
-splices two arcs or closes a circle, and every circle of a fully
-smoothed state closes exactly once along the way, so the bracket
-contribution of a resolution path is A^(a-b) * delta^(circles - 1).
+The unmerged form of the contraction in ``poly.bracket``: crossings
+are resolved one at a time, splicing arcs as we go, but every branch
+is followed on its own down to a full state, so no two partial states
+are ever merged.  An arc table maps each loose end to the opposite end
+of its arc; smoothing a crossing either splices two arcs or closes a
+circle, and every circle of a fully smoothed state closes exactly once
+along the way, so the bracket contribution of a resolution path is
+A^(a-b) * delta^(circles - 1).  The independent oracle, which shares
+nothing with the arc splicing, is the full state enumeration in the
+tests.
 
-Exponential in the crossing number; intended for diagrams with ten or
-so crossings.
+Exponential in the crossing number; intended for diagrams with twelve
+or so crossings.
 """
 
 from __future__ import annotations

@@ -10,11 +10,14 @@ conway_check values).  The embedded-corpus tests skip while
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from embedded_corpus import needs_corpus
 from turaev.corpus import (
     ANOMALOUS_ROWS,
+    CorpusError,
     CorpusRow,
     CountMismatch,
     JoinError,
@@ -71,6 +74,25 @@ class TestParseLine:
         fields[3] = ""
         with pytest.raises(JoinError, match="only one of"):
             _parse_line(1, "\t".join(fields))
+
+    def test_fuzzed_line_raises_only_corpus_errors(self):
+        # digits of other scripts and superscripts are not numbers; the
+        # Conway columns are free text, checked only by alignment
+        rng = random.Random(59)
+        alphabet = "{},- \t0123456789Kn\u00b2\u0663"
+        for _ in range(3000):
+            line = GOOD.replace("K12n1", f"K1{rng.choice('23')}n{rng.randint(1, 400)}")
+            line = "".join(rng.choice("3\u0663") if ch == "3" else ch for ch in line)
+            for _ in range(rng.randint(0, 2)):
+                i = rng.randrange(len(line) + 1)
+                line = line[:i] + rng.choice(alphabet) * rng.randint(0, 1) + line[i + rng.randint(0, 1):]
+            try:
+                row = _parse_line(1, line)
+            except CorpusError:
+                continue
+            name, _, _, _, dt_min, dt_rep, _ = line.split("\t")
+            assert (name + dt_min + dt_rep).isascii()
+            assert row.crossing_number == int(name[1:name.index("n")])
 
 
 class TestLoadCorpus:

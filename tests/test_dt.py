@@ -6,6 +6,7 @@ import pytest
 
 from turaev.dt import (
     DtCode,
+    DtCodeError,
     IndexOutOfRange,
     InvalidPermutation,
     LengthMismatch,
@@ -63,6 +64,24 @@ def test_format_is_canonical() -> None:
 def test_parse_rejects_malformed(text: str) -> None:
     with pytest.raises(MalformedSyntax):
         parse_dt(text)
+
+
+def test_fuzzed_text_raises_only_documented_errors() -> None:
+    # digits of other scripts and superscripts are not numbers
+    rng = random.Random(58)
+    alphabet = "{},- \t0123456789\u00b2\u0663"
+    for _ in range(3000):
+        text = format_dt(_random_code(rng, rng.randint(0, 17)))
+        text = "".join(rng.choice("3\u0663") if ch == "3" else ch for ch in text)
+        for _ in range(rng.randint(0, 2)):
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(alphabet) * rng.randint(0, 1) + text[i + rng.randint(0, 1):]
+        try:
+            code = parse_dt(text)
+        except DtCodeError:
+            continue
+        assert text.isascii()
+        assert parse_dt(format_dt(code)) == code
 
 
 def test_parse_rejects_length_mismatch() -> None:

@@ -1,19 +1,26 @@
 """Bracket and Jones polynomial tests.
 
-The state-sum bracket is cross-checked against the independent
-recursive skein oracle on small random realizable codes, and frozen
-hand-derived values pin the conventions: the canonical kink
-realization brackets to -A^-3 (so its Jones is 1), and the trefoil's
-Jones is -t^-4 + t^-3 + t^-1 up to mirror with span 3.
+The contracted bracket is cross-checked against two oracles on random
+realizable codes and the mixed-sign fixtures: the recursive skein
+bracket, which splices arcs like the contraction but never merges
+branches, and the full state enumeration below, which shares nothing
+with the arc splicing and counts each state's circles with
+``state_loops``.  Frozen hand-derived values pin the conventions: the
+canonical kink realization brackets to -A^-3 (so its Jones is 1), and
+the trefoil's Jones is -t^-4 + t^-3 + t^-1 up to mirror with span 3.
+On diagrams up to 17 crossings every Jones polynomial satisfies
+V(1) = 1 and span V <= n - g_T(D).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
-from turaev.diagram import DisconnectedDiagram, mirror, writhe
+from turaev.diagram import mirror, state_loops, turaev_genus, writhe
 from turaev.dt import DtCode, parse_dt
 from turaev.poly import (
     LaurentPoly,
@@ -54,6 +61,27 @@ def _random_realizable(rng: random.Random, n: int) -> PlanarDiagram | None:
     labels = tuple(m if rng.random() < 0.5 else -m for m in mags)
     res = try_realize(DtCode(n, labels))
     return res.diagram
+
+
+def _random_diagrams(seed: int, count: int, max_n: int) -> list[PlanarDiagram]:
+    """The first ``count`` realizable random codes, n = 3..max_n."""
+    rng = random.Random(seed)
+    tries = (_random_realizable(rng, rng.randint(3, max_n)) for _ in range(8 * count))
+    out = list(itertools.islice(filter(None, tries), count))
+    assert len(out) == count
+    return out
+
+
+def _enumeration_bracket(pd: PlanarDiagram) -> LaurentPoly:
+    """Full state sum over all 2^n state strings."""
+    states = Counter()
+    for state in map("".join, itertools.product("AB", repeat=pd.n)):
+        states[2 * state.count("A") - pd.n, state_loops(pd, state)] += 1
+    delta = LaurentPoly.from_dict("A", {2: -1, -2: -1})
+    out = LaurentPoly.zero("A")
+    for (e, loops), k in states.items():
+        out = out + LaurentPoly.monomial("A", e, k) * delta ** (loops - 1)
+    return out
 
 
 def _reflected(pd: PlanarDiagram) -> PlanarDiagram:
@@ -149,21 +177,13 @@ class TestBracket:
             assert bracket(mirror(pd)) == bracket(pd).mirrored()
 
     def test_matches_skein_oracle_on_random_codes(self) -> None:
-        rng = random.Random(15)
-        checked = 0
-        for _ in range(200):
-            pd = _random_realizable(rng, rng.randint(3, 8))
-            if pd is None:
-                continue
-            assert bracket(pd) == skein_bracket(pd)
-            checked += 1
-            if checked >= 25:
-                break
-        assert checked >= 25
+        for pd in _random_diagrams(15, 25, 8):
+            assert bracket(pd) == skein_bracket(pd) == _enumeration_bracket(pd)
 
     def test_matches_skein_oracle_on_mixed_sign_fixture(self) -> None:
-        pd = realize(pretzel_dt(3, 3, -2))
-        assert bracket(pd) == skein_bracket(pd)
+        for code in (pretzel_dt(3, 3, -2), parse_dt(K12_MIN)):
+            pd = realize(code)
+            assert bracket(pd) == skein_bracket(pd) == _enumeration_bracket(pd)
 
     def test_disconnected_rejected(self) -> None:
         kink = realize(parse_dt(KINK)).crossings[0]
@@ -209,17 +229,16 @@ class TestJones:
             assert jones(flipped) == jones(pd).mirrored()
 
     def test_reflection_invariance_on_random_codes(self) -> None:
-        rng = random.Random(16)
-        checked = 0
-        for _ in range(100):
-            pd = _random_realizable(rng, rng.randint(3, 7))
-            if pd is None:
-                continue
+        for pd in _random_diagrams(16, 15, 7):
             assert equal_up_to_mirror(jones(pd), jones(_reflected(pd)))
-            checked += 1
-            if checked >= 15:
-                break
-        assert checked >= 15
+
+    def test_value_at_one_and_turaev_span_bound(self) -> None:
+        # Dasbach-Futer-Kalfagianni-Lin-Stoltzfus: span V <= n - g_T(D)
+        fixtures = [realize(parse_dt(t)) for t in (K12_MIN, OTHER_MIN, K12_REP)]
+        for pd in _random_diagrams(15, 25, 8) + fixtures:
+            v = jones(pd)
+            assert sum(c for _, c in v.terms) == 1
+            assert span_t(v) <= pd.n - turaev_genus(pd)
 
     def test_coefficients_stay_below_bound(self) -> None:
         pd = realize(parse_dt(K12_REP))
