@@ -87,7 +87,7 @@ ANOMALOUS_ROWS = frozenset({"K12n748"})
 
 _STATUSES = ("resolved", "open")
 _SOURCES = ("table1+2", "table3", "prose")
-_NAME_RE = re.compile(r"^K([0-9]+)n([0-9]+)$")
+_NAME_RE = re.compile(r"K([0-9]+)n([0-9]+)")
 
 _EXPECTED = {"resolved_12": 154, "open_12": 35, "resolved_11": 1, "open_11": 2}
 
@@ -110,7 +110,7 @@ class CorpusRow:
 
     @property
     def crossing_number(self) -> int:
-        return int(_NAME_RE.match(self.name).group(1))
+        return int(_NAME_RE.fullmatch(self.name).group(1))
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,7 @@ def _parse_line(lineno: int, line: str) -> CorpusRow:
         raise SchemaError(f"line {lineno}: expected 7 tab-separated fields, "
                           f"got {len(fields)}")
     name, status, conway_min, conway_rep, dt_min, dt_rep, source = fields
-    if not _NAME_RE.match(name):
+    if not _NAME_RE.fullmatch(name):
         raise SchemaError(f"line {lineno}: bad name {name!r}")
     if status not in _STATUSES:
         raise SchemaError(f"line {lineno}: bad status {status!r}")

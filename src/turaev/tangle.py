@@ -284,7 +284,7 @@ def verify_substitution(left: TangleWord, right: TangleWord) -> bool:
     return fraction(left) == fraction(right)
 
 
-_POLYHEDRON_TAG = re.compile(r"^\s*(\d+\^?\*+)")
+_POLYHEDRON_TAG = re.compile(r"^\s*([0-9]+\^?\*+)")
 _SEPARATORS = re.compile(r"([.:,()])")
 
 

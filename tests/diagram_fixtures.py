@@ -8,11 +8,15 @@ the two diagonals.  Region sign picks which diagonal runs over: the
 UL-DR diagonal in a positive region, the UR-DL diagonal in a negative
 one, so regions of equal sign alternate and a sign change breaks
 alternation.
+
+The braid tracer builds a plane diagram directly, without a DT code,
+for closures too long for the realization search.
 """
 
 from __future__ import annotations
 
 from turaev.dt import DtCode
+from turaev.realize import Crossing, PlanarDiagram
 
 _TOP_EXIT = {"TL", "TR"}
 
@@ -80,3 +84,41 @@ def pretzel_dt(t1: int, t2: int, t3: int) -> DtCode:
         even_diag = passes[even - 1][2]
         labels.append(even if even_diag != over_diag else -even)
     return DtCode(total, tuple(labels))
+
+
+def braid_closure_diagram(word: list[int]) -> PlanarDiagram:
+    """Plane diagram of the closure of a braid word that closes to a knot.
+
+    Entry k > 0 is sigma_k: the strands at positions k - 1 and k cross,
+    and the one arriving from the bottom left runs over; -k is its
+    inverse.  Strands
+    run upward and the closure leads each top position back to the same
+    bottom position.  The trace starts at the bottom of position 0, and
+    edge t leaves the crossing of pass t, as ``realize`` numbers it.  The
+    slots of a crossing run counterclockwise BL, BR, TR, TL, rotated so
+    that slot 0 is the under-strand arrival, and crossing i is the one
+    met at odd pass 2i + 1, as ``realize`` stores a DT code.
+    """
+    visits: list[list[tuple[int, str]]] = [[] for _ in word]
+    pos, t = 0, 0
+    while True:
+        for j, g in enumerate(word):
+            if pos in (abs(g) - 1, abs(g)):
+                t += 1
+                visits[j].append((t, "BL" if pos == abs(g) - 1 else "BR"))
+                pos = 2 * abs(g) - 1 - pos
+        if pos == 0:
+            break
+    if t != 2 * len(word):
+        raise ValueError(f"braid word {word} does not close to a knot")
+    crossings: list[Crossing | None] = [None] * len(word)
+    for g, passes in zip(word, visits):
+        edge = {}
+        for p, port in passes:
+            edge[port] = p - 1 or t  # arrives along edge p - 1
+            edge["TR" if port == "BL" else "TL"] = p
+        # slot 0 is where the under strand arrives: BR when sigma_k is positive
+        ports = ("BR", "TR", "TL", "BL") if g > 0 else ("BL", "BR", "TR", "TL")
+        odd = next(p for p, _ in passes if p % 2)
+        crossings[odd // 2] = Crossing(tuple(edge[q] for q in ports), 3 if g > 0 else 1)
+    return PlanarDiagram(tuple(crossings))

@@ -57,6 +57,10 @@ class TestParseLine:
         with pytest.raises(SchemaError, match="bad name"):
             _parse_line(1, GOOD.replace("K12n1", "L12a1"))
 
+    def test_name_with_trailing_newline(self):
+        with pytest.raises(SchemaError, match="bad name"):
+            _parse_line(1, GOOD.replace("K12n1", "K12n1\n"))
+
     def test_bad_status(self):
         with pytest.raises(SchemaError, match="bad status"):
             _parse_line(1, GOOD.replace("resolved", "maybe"))

@@ -9,7 +9,11 @@ with the arc splicing and counts each state's circles with
 canonical kink realization brackets to -A^-3 (so its Jones is 1), and
 the trefoil's Jones is -t^-4 + t^-3 + t^-1 up to mirror with span 3.
 On diagrams up to 17 crossings every Jones polynomial satisfies
-V(1) = 1 and span V <= n - g_T(D).
+V(1) = 1 and span V <= n - g_T(D).  Shuffling the crossing storage
+sends the contraction through a different order and must not change
+the bracket.  Closed alternating 4-braids at n = 41 and 61, stored in
+DT order, check Kauffman-Murasugi-Thistlethwaite (span V = n on a
+reduced alternating diagram) at a size where storage order blows up.
 """
 
 from __future__ import annotations
@@ -20,9 +24,11 @@ from collections import Counter
 
 import pytest
 
-from turaev.diagram import mirror, state_loops, turaev_genus, writhe
+import turaev.poly
+from turaev.diagram import mirror, state_loops, switch_crossing, turaev_genus, writhe
 from turaev.dt import DtCode, parse_dt
 from turaev.poly import (
+    BracketTooWide,
     LaurentPoly,
     NormalizationFailure,
     ZeroPolynomial,
@@ -32,10 +38,17 @@ from turaev.poly import (
     jones,
     span_t,
 )
-from turaev.realize import Crossing, PlanarDiagram, face_count, realize, try_realize
+from turaev.realize import (
+    Crossing,
+    PlanarDiagram,
+    face_count,
+    realize,
+    try_realize,
+    validate_diagram,
+)
 from turaev.skein import skein_bracket
 
-from diagram_fixtures import pretzel_dt
+from diagram_fixtures import braid_closure_diagram, pretzel_dt
 
 KINK = "{{1},{2}}"
 TREFOIL = "{{3},{4,6,2}}"
@@ -82,6 +95,27 @@ def _enumeration_bracket(pd: PlanarDiagram) -> LaurentPoly:
     for (e, loops), k in states.items():
         out = out + LaurentPoly.monomial("A", e, k) * delta ** (loops - 1)
     return out
+
+
+def _alternating_braid(seed: int, n: int) -> PlanarDiagram:
+    """Closure of a seeded n-letter word in sigma_1, sigma_2^-1, sigma_3
+    that closes to a knot and uses each generator at least twice, so
+    the diagram is reduced, alternating and prime."""
+    rng = random.Random(seed)
+    while True:
+        word = [rng.choice((1, -2, 3)) for _ in range(n)]
+        if min(map(word.count, (1, -2, 3))) >= 2:
+            try:
+                return braid_closure_diagram(word)
+            except ValueError:  # closes to a link
+                continue
+
+
+def _shuffled(pd: PlanarDiagram, rng: random.Random) -> PlanarDiagram:
+    """The same diagram with its crossings stored in a random order."""
+    crossings = list(pd.crossings)
+    rng.shuffle(crossings)
+    return PlanarDiagram(tuple(crossings))
 
 
 def _reflected(pd: PlanarDiagram) -> PlanarDiagram:
@@ -185,6 +219,17 @@ class TestBracket:
             pd = realize(code)
             assert bracket(pd) == skein_bracket(pd) == _enumeration_bracket(pd)
 
+    def test_independent_of_crossing_order(self) -> None:
+        rng = random.Random(17)
+        for pd in _random_diagrams(15, 25, 8) + [_alternating_braid(41, 41)]:
+            assert bracket(_shuffled(pd, rng)) == bracket(pd)
+
+    def test_cap_on_live_tables(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        pd = realize(parse_dt(K12_MIN))
+        monkeypatch.setattr(turaev.poly, "_MAX_TABLES", 4)
+        with pytest.raises(BracketTooWide, match="12-crossing.*step [0-9]+.*cap of 4"):
+            bracket(pd)
+
     def test_disconnected_rejected(self) -> None:
         kink = realize(parse_dt(KINK)).crossings[0]
         far = Crossing(tuple(e + 2 for e in kink.slots), kink.over_in_slot)
@@ -239,6 +284,21 @@ class TestJones:
             v = jones(pd)
             assert sum(c for _, c in v.terms) == 1
             assert span_t(v) <= pd.n - turaev_genus(pd)
+
+    @pytest.mark.parametrize("n", [41, 61])
+    def test_long_alternating_braid_closure(self, n: int) -> None:
+        pd = _alternating_braid(n, n)
+        validate_diagram(pd)
+        assert face_count(pd) == n + 2
+        v = jones(pd)
+        assert sum(c for _, c in v.terms) == 1
+        assert span_t(v) == n
+        assert turaev_genus(pd) == 0
+        switched = switch_crossing(pd, n // 2)
+        v = jones(switched)
+        assert sum(c for _, c in v.terms) == 1
+        assert turaev_genus(switched) == 1
+        assert span_t(v) <= n - 1
 
     def test_coefficients_stay_below_bound(self) -> None:
         pd = realize(parse_dt(K12_REP))

@@ -321,3 +321,8 @@ class TestExtractSubstitutions:
 
     def test_unparseable_differing_slot(self) -> None:
         assert extract_substitutions("2.x", "2.3") is None
+
+    def test_polyhedron_tag_takes_only_ascii_digits(self) -> None:
+        # an Arabic-Indic 3 is no tag, so the slots "٣*3" do not parse
+        assert extract_substitutions("٣*3", "٣*1 -1 2") is None
+        assert extract_substitutions("3*3", "3*1 -1 2") is not None
