@@ -21,33 +21,19 @@ with the distance from alternation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .realize import Crossing, PlanarDiagram, end_mates, orbit_count
+from .realize import PlanarDiagram, end_mates, orbit_count
 
 __all__ = [
-    "StateLoopCounts",
     "DisconnectedDiagram",
     "state_loops",
-    "extreme_loop_counts",
     "turaev_genus",
     "writhe",
-    "mirror",
-    "switch_crossing",
     "is_connected",
 ]
 
 
 class DisconnectedDiagram(ValueError):
     """Operation requires a connected diagram."""
-
-
-@dataclass(frozen=True)
-class StateLoopCounts:
-    """Loop counts of the all-A and all-B states."""
-
-    s_a: int
-    s_b: int
 
 
 def _check_state(pd: PlanarDiagram, state: str) -> None:
@@ -77,12 +63,6 @@ def state_loops(pd: PlanarDiagram, state: str) -> int:
     return orbit_count(end_mates(pd), rho) // 2
 
 
-def extreme_loop_counts(pd: PlanarDiagram) -> StateLoopCounts:
-    return StateLoopCounts(
-        s_a=state_loops(pd, "A" * pd.n), s_b=state_loops(pd, "B" * pd.n)
-    )
-
-
 def is_connected(pd: PlanarDiagram) -> bool:
     """True when the underlying 4-valent graph has one component."""
     if pd.n <= 1:
@@ -104,36 +84,14 @@ def turaev_genus(pd: PlanarDiagram) -> int:
     """Genus of the surface spanned between the extreme states."""
     if not is_connected(pd):
         raise DisconnectedDiagram("Turaev genus needs a connected diagram")
-    counts = extreme_loop_counts(pd)
-    twice = pd.n + 2 - counts.s_a - counts.s_b
+    s_a = state_loops(pd, "A" * pd.n)
+    s_b = state_loops(pd, "B" * pd.n)
+    twice = pd.n + 2 - s_a - s_b
     if twice < 0 or twice % 2:
-        raise ValueError(f"impossible loop counts {counts} for n={pd.n}")
+        raise ValueError(f"impossible loop counts all-A {s_a}, all-B {s_b} for n={pd.n}")
     return twice // 2
 
 
 def writhe(pd: PlanarDiagram) -> int:
     """Sum of crossing signs under the traversal orientation."""
     return sum(cr.sign() for cr in pd.crossings)
-
-
-def _switched(cr: Crossing) -> Crossing:
-    # Exchange over and under strands, re-anchoring slot 0 onto the new
-    # incoming under-strand.  A cyclic shift keeps the rotation intact.
-    s0, s1, s2, s3 = cr.slots
-    if cr.over_in_slot == 1:
-        return Crossing((s1, s2, s3, s0), 3)
-    return Crossing((s3, s0, s1, s2), 1)
-
-
-def switch_crossing(pd: PlanarDiagram, i: int) -> PlanarDiagram:
-    """Exchange over and under strands at crossing i."""
-    if not 0 <= i < pd.n:
-        raise IndexError(f"crossing index {i} outside 0..{pd.n - 1}")
-    crossings = list(pd.crossings)
-    crossings[i] = _switched(crossings[i])
-    return PlanarDiagram(tuple(crossings))
-
-
-def mirror(pd: PlanarDiagram) -> PlanarDiagram:
-    """The mirror diagram: every crossing switched."""
-    return PlanarDiagram(tuple(_switched(cr) for cr in pd.crossings))

@@ -37,11 +37,9 @@ __all__ = [
     "MalformedSyntax",
     "LengthMismatch",
     "InvalidPermutation",
-    "IndexOutOfRange",
     "parse_dt",
     "format_dt",
     "classify_signs",
-    "flip_crossing",
 ]
 
 
@@ -59,10 +57,6 @@ class LengthMismatch(DtCodeError):
 
 class InvalidPermutation(DtCodeError):
     """Labels are not a signed arrangement of the evens 2..2n."""
-
-
-class IndexOutOfRange(DtCodeError, IndexError):
-    """Crossing index outside 0..n-1."""
 
 
 @dataclass(frozen=True)
@@ -164,12 +158,3 @@ def classify_signs(code: DtCode) -> SignClass:
         pos = next(i for i, a in enumerate(code.labels) if a > 0)
         return SignClass(SignKind.ALMOST_ALTERNATING, pos)
     return SignClass(SignKind.OTHER)
-
-
-def flip_crossing(code: DtCode, i: int) -> DtCode:
-    """Return the code with crossing i switched (label sign negated)."""
-    if not 0 <= i < code.n:
-        raise IndexOutOfRange(f"crossing index {i} outside 0..{code.n - 1}")
-    labels = list(code.labels)
-    labels[i] = -labels[i]
-    return DtCode(code.n, tuple(labels))

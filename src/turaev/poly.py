@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .diagram import is_connected, smoothing, writhe
+from .diagram import DisconnectedDiagram, is_connected, smoothing, writhe
 from .realize import PlanarDiagram, end_mates
 
 __all__ = [
@@ -104,12 +104,6 @@ class LaurentPoly:
         if coeff == 0:
             return LaurentPoly(var, ())
         return LaurentPoly(var, ((exp, coeff),))
-
-    def coeffs(self) -> dict[int, int]:
-        return dict(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def _need_same_var(self, other: LaurentPoly) -> None:
         if self.var != other.var:
@@ -187,13 +181,14 @@ def bracket(pd: PlanarDiagram) -> LaurentPoly:
     """Kauffman bracket by contracting one crossing at a time, variable A.
 
     Crossings are contracted in ``_frontier_order``.  Raises
-    BracketTooWide when a layer exceeds ``_MAX_TABLES`` arc tables.
+    DisconnectedDiagram on a split diagram and BracketTooWide when a
+    layer exceeds ``_MAX_TABLES`` arc tables.
     """
     n = pd.n
     if n == 0:
         return LaurentPoly.one("A")
     if not is_connected(pd):
-        raise ValueError("bracket needs a connected diagram")
+        raise DisconnectedDiagram("bracket needs a connected diagram")
     mate = end_mates(pd)
     # arc table -> {(A smoothings, closed circles): states}
     layer = {tuple(mate): {(0, 0): 1}}

@@ -181,33 +181,24 @@ def try_realize(code: DtCode) -> RealizationResult:
         return RealizationResult(obstruction=str(exc))
 
 
-def _end_positions(pd: PlanarDiagram) -> tuple[dict[int, tuple[int, int]], dict[int, tuple[int, int]]]:
-    """Maps edge number -> (crossing, slot) for arrivals and departures."""
-    arrive: dict[int, tuple[int, int]] = {}
-    depart: dict[int, tuple[int, int]] = {}
-    for c, cr in enumerate(pd.crossings):
-        in_slots = (0, cr.over_in_slot)
-        for s, e in enumerate(cr.slots):
-            if s in in_slots:
-                arrive[e] = (c, s)
-            else:
-                depart[e] = (c, s)
-    return arrive, depart
-
-
 def end_mates(pd: PlanarDiagram) -> list[int]:
     """Involution pairing the two ends of each edge.
 
     Ends are numbered 4 * crossing + slot.  mate[arrival end] is the
     matching departure end and vice versa.
     """
-    arrive, depart = _end_positions(pd)
+    # edge number -> its arrival (departure) end; an edge missing from a
+    # malformed diagram stays None and fails below instead of pairing end 0
+    arrive: list[int | None] = [None] * (pd.n_edges + 1)
+    depart: list[int | None] = [None] * (pd.n_edges + 1)
+    for c, cr in enumerate(pd.crossings):
+        for s, e in enumerate(cr.slots):
+            side = arrive if s in (0, cr.over_in_slot) else depart
+            side[e] = 4 * c + s
     mate = [0] * (4 * pd.n)
-    for e in range(1, pd.n_edges + 1):
-        ca, sa = arrive[e]
-        cd, sd = depart[e]
-        mate[4 * ca + sa] = 4 * cd + sd
-        mate[4 * cd + sd] = 4 * ca + sa
+    for a, d in zip(arrive[1:], depart[1:]):
+        mate[a] = d
+        mate[d] = a
     return mate
 
 

@@ -11,6 +11,9 @@ alternation.
 
 The braid tracer builds a plane diagram directly, without a DT code,
 for closures too long for the realization search.
+
+``switch_crossing`` and ``mirror`` exchange over and under strands at
+one crossing or at all of them.
 """
 
 from __future__ import annotations
@@ -122,3 +125,26 @@ def braid_closure_diagram(word: list[int]) -> PlanarDiagram:
         odd = next(p for p, _ in passes if p % 2)
         crossings[odd // 2] = Crossing(tuple(edge[q] for q in ports), 3 if g > 0 else 1)
     return PlanarDiagram(tuple(crossings))
+
+
+def _switched(cr: Crossing) -> Crossing:
+    # Exchange over and under strands, re-anchoring slot 0 onto the new
+    # incoming under-strand.  A cyclic shift keeps the rotation intact.
+    s0, s1, s2, s3 = cr.slots
+    if cr.over_in_slot == 1:
+        return Crossing((s1, s2, s3, s0), 3)
+    return Crossing((s3, s0, s1, s2), 1)
+
+
+def switch_crossing(pd: PlanarDiagram, i: int) -> PlanarDiagram:
+    """Exchange over and under strands at crossing i."""
+    if not 0 <= i < pd.n:
+        raise IndexError(f"crossing index {i} outside 0..{pd.n - 1}")
+    crossings = list(pd.crossings)
+    crossings[i] = _switched(crossings[i])
+    return PlanarDiagram(tuple(crossings))
+
+
+def mirror(pd: PlanarDiagram) -> PlanarDiagram:
+    """The mirror diagram: every crossing switched."""
+    return PlanarDiagram(tuple(_switched(cr) for cr in pd.crossings))

@@ -21,9 +21,10 @@ pairs have mirror-equal Jones polynomials within a 60 s budget; (05)
 Turaev genus is 1 on every representative diagram, at least 1 on every
 minimal diagram, and never 0 on a mixed-sign corpus diagram; (06) the
 Jones span is below the crossing number on every minimal code; (07) the
-state-sum bracket equals the recursive skein bracket on 50 seeded
-random realizable codes with 3 to 8 crossings (every corpus code has 11
-or more crossings, past the skein oracle's reach, and is not used);
+contracted bracket equals the recursive skein bracket of
+``bracket_oracles.py`` in the tests on 50 seeded random realizable
+codes with 3 to 8 crossings (every corpus code has 11 or more
+crossings, past the skein oracle's reach, and is not used);
 (08) every alignable substitution pair verifies, the K12n748 anomaly
 warns, and synthesis round-trips fractions; (09) the trefoil and
 (3, 3, -2) pretzel fixtures give their known genus and span values.
@@ -37,6 +38,7 @@ import time
 
 import pytest
 
+from bracket_oracles import skein_bracket
 from diagram_fixtures import pretzel_dt
 from embedded_corpus import CORPUS_ABSENT, SKIP_REASON
 from turaev.corpus import load_corpus, validate_corpus
@@ -44,7 +46,6 @@ from turaev.diagram import turaev_genus
 from turaev.dt import DtCode, SignKind, classify_signs, parse_dt
 from turaev.poly import bracket, equal_up_to_mirror, jones, span_t
 from turaev.realize import face_count, realize, try_realize
-from turaev.skein import skein_bracket
 from turaev.tangle import (
     ExtendedRational,
     extract_substitutions,

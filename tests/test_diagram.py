@@ -4,19 +4,16 @@ import random
 
 import pytest
 
-from diagram_fixtures import pretzel_dt
+from diagram_fixtures import mirror, pretzel_dt, switch_crossing
 from turaev.dt import DtCode, SignKind, classify_signs, parse_dt
 from turaev.diagram import (
     DisconnectedDiagram,
-    StateLoopCounts,
-    extreme_loop_counts,
     is_connected,
-    mirror,
     state_loops,
-    switch_crossing,
     turaev_genus,
     writhe,
 )
+from turaev.poly import bracket
 from turaev.realize import Crossing, PlanarDiagram, realize, try_realize, validate_diagram
 
 TREFOIL = realize(parse_dt("{{3},{4,6,2}}"))
@@ -69,7 +66,7 @@ def _random_realizable(rng: random.Random, n_lo: int = 3, n_hi: int = 7) -> Plan
 
 
 def test_trefoil_extreme_loops() -> None:
-    assert extreme_loop_counts(TREFOIL) == StateLoopCounts(s_a=3, s_b=2)
+    assert (state_loops(TREFOIL, "AAA"), state_loops(TREFOIL, "BBB")) == (3, 2)
 
 
 def test_kink_loops() -> None:
@@ -170,3 +167,5 @@ def test_disconnected_diagram_rejected() -> None:
     assert not is_connected(two_kinks)
     with pytest.raises(DisconnectedDiagram):
         turaev_genus(two_kinks)
+    with pytest.raises(DisconnectedDiagram):
+        bracket(two_kinks)

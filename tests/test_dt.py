@@ -7,13 +7,11 @@ import pytest
 from turaev.dt import (
     DtCode,
     DtCodeError,
-    IndexOutOfRange,
     InvalidPermutation,
     LengthMismatch,
     MalformedSyntax,
     SignKind,
     classify_signs,
-    flip_crossing,
     format_dt,
     parse_dt,
 )
@@ -141,17 +139,9 @@ def test_classify_other() -> None:
 def test_flip_minority_restores_alternation() -> None:
     code = parse_dt(TWELVE_REP)
     sc = classify_signs(code)
-    flipped = flip_crossing(code, sc.minority_index)
-    assert classify_signs(flipped).kind is SignKind.ALTERNATING
-    assert flip_crossing(flipped, sc.minority_index) == code
-
-
-def test_flip_rejects_bad_index() -> None:
-    code = parse_dt(TREFOIL)
-    with pytest.raises(IndexOutOfRange):
-        flip_crossing(code, 3)
-    with pytest.raises(IndexOutOfRange):
-        flip_crossing(code, -1)
+    labels = list(code.labels)
+    labels[sc.minority_index] = -labels[sc.minority_index]
+    assert classify_signs(DtCode(code.n, tuple(labels))).kind is SignKind.ALTERNATING
 
 
 def test_random_codes_round_trip_and_mirror_classification() -> None:

@@ -1,15 +1,16 @@
 """Bracket and Jones polynomial tests.
 
 The contracted bracket is cross-checked against two oracles on random
-realizable codes and the mixed-sign fixtures: the recursive skein
+realizable codes and the mixed-sign fixtures, both kept in
+``bracket_oracles.py`` next to these tests: the recursive skein
 bracket, which splices arcs like the contraction but never merges
-branches, and the full state enumeration below, which shares nothing
-with the arc splicing and counts each state's circles with
+branches, and the full state enumeration, which shares nothing with
+the arc splicing and counts each state's circles with
 ``state_loops``.  Frozen hand-derived values pin the conventions: the
 canonical kink realization brackets to -A^-3 (so its Jones is 1), and
 the trefoil's Jones is -t^-4 + t^-3 + t^-1 up to mirror with span 3.
 On diagrams up to 17 crossings every Jones polynomial satisfies
-V(1) = 1 and span V <= n - g_T(D).  Shuffling the crossing storage
+V(1) = 1, V(e^(2 pi i/3)) = 1, |V(-1)| odd and span V <= n - g_T(D).  Shuffling the crossing storage
 sends the contraction through a different order and must not change
 the bracket.  Closed alternating 4-braids at n = 41 and 61, stored in
 DT order, check Kauffman-Murasugi-Thistlethwaite (span V = n on a
@@ -20,12 +21,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 
 import pytest
 
 import turaev.poly
-from turaev.diagram import mirror, state_loops, switch_crossing, turaev_genus, writhe
+from turaev.diagram import turaev_genus, writhe
 from turaev.dt import DtCode, parse_dt
 from turaev.poly import (
     BracketTooWide,
@@ -46,9 +46,9 @@ from turaev.realize import (
     try_realize,
     validate_diagram,
 )
-from turaev.skein import skein_bracket
 
-from diagram_fixtures import braid_closure_diagram, pretzel_dt
+from bracket_oracles import enumeration_bracket, skein_bracket
+from diagram_fixtures import braid_closure_diagram, mirror, pretzel_dt, switch_crossing
 
 KINK = "{{1},{2}}"
 TREFOIL = "{{3},{4,6,2}}"
@@ -85,16 +85,19 @@ def _random_diagrams(seed: int, count: int, max_n: int) -> list[PlanarDiagram]:
     return out
 
 
-def _enumeration_bracket(pd: PlanarDiagram) -> LaurentPoly:
-    """Full state sum over all 2^n state strings."""
-    states = Counter()
-    for state in map("".join, itertools.product("AB", repeat=pd.n)):
-        states[2 * state.count("A") - pd.n, state_loops(pd, state)] += 1
-    delta = LaurentPoly.from_dict("A", {2: -1, -2: -1})
-    out = LaurentPoly.zero("A")
-    for (e, loops), k in states.items():
-        out = out + LaurentPoly.monomial("A", e, k) * delta ** (loops - 1)
-    return out
+def _assert_knot_values(v: LaurentPoly) -> None:
+    """V(1) = 1, V(omega) = 1 for omega = e^(2 pi i/3), and |V(-1)| odd.
+
+    Exact in Z[omega]: with a_r the sum of the coefficients whose
+    exponent is r mod 3, omega^2 = -1 - omega gives
+    V(omega) = (a_0 - a_2) + (a_1 - a_2) omega.
+    """
+    assert sum(c for _, c in v.terms) == 1
+    a = [0, 0, 0]
+    for e, c in v.terms:
+        a[e % 3] += c
+    assert a[1] == a[2] and a[0] - a[2] == 1
+    assert sum(-c if e % 2 else c for e, c in v.terms) % 2 == 1
 
 
 def _alternating_braid(seed: int, n: int) -> PlanarDiagram:
@@ -212,12 +215,12 @@ class TestBracket:
 
     def test_matches_skein_oracle_on_random_codes(self) -> None:
         for pd in _random_diagrams(15, 25, 8):
-            assert bracket(pd) == skein_bracket(pd) == _enumeration_bracket(pd)
+            assert bracket(pd) == skein_bracket(pd) == enumeration_bracket(pd)
 
     def test_matches_skein_oracle_on_mixed_sign_fixture(self) -> None:
         for code in (pretzel_dt(3, 3, -2), parse_dt(K12_MIN)):
             pd = realize(code)
-            assert bracket(pd) == skein_bracket(pd) == _enumeration_bracket(pd)
+            assert bracket(pd) == skein_bracket(pd) == enumeration_bracket(pd)
 
     def test_independent_of_crossing_order(self) -> None:
         rng = random.Random(17)
@@ -282,7 +285,7 @@ class TestJones:
         fixtures = [realize(parse_dt(t)) for t in (K12_MIN, OTHER_MIN, K12_REP)]
         for pd in _random_diagrams(15, 25, 8) + fixtures:
             v = jones(pd)
-            assert sum(c for _, c in v.terms) == 1
+            _assert_knot_values(v)
             assert span_t(v) <= pd.n - turaev_genus(pd)
 
     @pytest.mark.parametrize("n", [41, 61])
@@ -291,12 +294,12 @@ class TestJones:
         validate_diagram(pd)
         assert face_count(pd) == n + 2
         v = jones(pd)
-        assert sum(c for _, c in v.terms) == 1
+        _assert_knot_values(v)
         assert span_t(v) == n
         assert turaev_genus(pd) == 0
         switched = switch_crossing(pd, n // 2)
         v = jones(switched)
-        assert sum(c for _, c in v.terms) == 1
+        _assert_knot_values(v)
         assert turaev_genus(switched) == 1
         assert span_t(v) <= n - 1
 
