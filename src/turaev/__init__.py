@@ -1,10 +1,11 @@
 """Knot diagram invariants from signed DT codes.
 
 The package realizes signed Dowker-Thistlethwaite codes as planar
-diagrams, computes Kauffman bracket and Jones polynomials with exact
-integer arithmetic, derives the Turaev genus from the extreme state
-loop counts, manipulates rational tangle words, and verifies a bundled
-census of almost alternating knots end to end.
+diagrams (``realize``), computes the Kauffman bracket, Jones polynomial
+and Turaev genus of a diagram with exact integer arithmetic (``poly``,
+the one module that owns the smoothing convention), manipulates
+rational tangle words (``tangle``), and verifies a bundled census of
+almost alternating knots end to end (``verify``).
 """
 
 from __future__ import annotations

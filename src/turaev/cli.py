@@ -17,9 +17,8 @@ import argparse
 import sys
 
 from .corpus import CorpusError, corpus_sha256, load_corpus, validate_corpus
-from .diagram import turaev_genus
 from .dt import DtCodeError, classify_signs, parse_dt
-from .poly import jones
+from .poly import jones, turaev_genus
 from .realize import NotRealizable, format_diagram, realize
 from .tangle import (
     ExtendedRational,

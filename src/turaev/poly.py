@@ -1,4 +1,15 @@
-"""Exact Laurent polynomials, Kauffman bracket, Jones polynomial.
+"""Exact Laurent polynomials and the state invariants of a diagram:
+Kauffman bracket, Jones polynomial, Turaev genus.
+
+A state assigns each crossing one of two smoothings.  Relative to the
+slot convention (slot 0 = incoming under-strand, counterclockwise
+order), the A smoothing joins slots (0,1) and (2,3), the B smoothing
+joins (0,3) and (1,2): on the ends 4c + s, A pairs s with s ^ 1 and B
+pairs s with s ^ 3.  Equivalently, the A smoothing opens the two
+sectors swept when the over-strand line is turned counterclockwise
+onto the under-strand line.  Because slot 0 always carries the under
+strand, these pairings are the same at every crossing, and switching a
+crossing (over becomes under) swaps its two smoothings.
 
 The bracket is the state sum
 
@@ -31,6 +42,11 @@ integers.  Jones is the usual writhe normalization V = (-A)^(-3w) <D>
 rewritten in t = A^-4; the exponent division by 4 is asserted, so a
 convention bug anywhere upstream fails loudly instead of producing a
 quietly wrong polynomial.
+
+The Turaev genus of a connected diagram is g_T = (n + 2 - s_A - s_B) / 2,
+with s_A and s_B the circle counts of its all-A and all-B states (Dasbach,
+Futer, Kalfagianni, Lin and Stoltzfus, arXiv math/0605571).  It is 0
+exactly on diagrams built from alternating pieces.
 """
 
 from __future__ import annotations
@@ -38,16 +54,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .diagram import DisconnectedDiagram, is_connected, smoothing, writhe
-from .realize import PlanarDiagram, end_mates
+from .realize import PlanarDiagram, end_mates, orbit_count
 
 __all__ = [
     "LaurentPoly",
     "ZeroPolynomial",
     "NormalizationFailure",
     "BracketTooWide",
+    "DisconnectedDiagram",
     "bracket",
     "jones",
+    "writhe",
+    "turaev_genus",
     "span_t",
     "equal_up_to_mirror",
 ]
@@ -73,6 +91,12 @@ class BracketTooWide(ValueError):
 
 
 _MAX_TABLES = 1 << 16
+
+_A_FLIP, _B_FLIP = 1, 3  # a smoothing joins end 4c + s to 4c + (s ^ flip)
+
+
+class DisconnectedDiagram(ValueError):
+    """Operation requires a connected diagram."""
 
 
 @dataclass(frozen=True)
@@ -162,6 +186,24 @@ class LaurentPoly:
         return self.render()
 
 
+def _connected_mates(pd: PlanarDiagram) -> list[int]:
+    """``end_mates(pd)`` for ``pd.n >= 1``; raises DisconnectedDiagram
+    when the 4-valent graph of ``pd`` has more than one component."""
+    mate = end_mates(pd)
+    seen = {0}
+    stack = [0]
+    while stack:
+        c = stack.pop()
+        for e in range(4 * c, 4 * c + 4):
+            nb = mate[e] // 4
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    if len(seen) != pd.n:
+        raise DisconnectedDiagram("state sums need a connected diagram")
+    return mate
+
+
 def _frontier_order(mate: list[int], n: int) -> list[int]:
     """Crossing 0, then repeatedly the uncontracted crossing with the
     most ends mated to contracted ones, ties to the lowest index."""
@@ -187,18 +229,17 @@ def bracket(pd: PlanarDiagram) -> LaurentPoly:
     n = pd.n
     if n == 0:
         return LaurentPoly.one("A")
-    if not is_connected(pd):
-        raise DisconnectedDiagram("bracket needs a connected diagram")
-    mate = end_mates(pd)
+    mate = _connected_mates(pd)
     # arc table -> {(A smoothings, closed circles): states}
     layer = {tuple(mate): {(0, 0): 1}}
     for step, c in enumerate(_frontier_order(mate, n)):
         merged: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
         for arcs, counts in layer.items():
-            for kind, da in (("A", 1), ("B", 0)):
+            for flip, da in ((_A_FLIP, 1), (_B_FLIP, 0)):
                 arc = list(arcs)
                 closed = 0
-                for x, y in enumerate(smoothing(c, kind), start=4 * c):
+                for x in range(4 * c, 4 * c + 4):
+                    y = x ^ flip
                     if x > y:
                         continue
                     if arc[x] == y:
@@ -226,6 +267,27 @@ def bracket(pd: PlanarDiagram) -> LaurentPoly:
             e = 2 * a - n + 2 * k - 4 * j
             coeffs[e] = coeffs.get(e, 0) + (-1) ** k * comb(k, j) * states
     return LaurentPoly.from_dict("A", coeffs)
+
+
+def writhe(pd: PlanarDiagram) -> int:
+    """Sum of crossing signs under the traversal orientation."""
+    return sum(cr.sign() for cr in pd.crossings)
+
+
+def turaev_genus(pd: PlanarDiagram) -> int:
+    """Genus of the surface spanned between the all-A and all-B states;
+    raises DisconnectedDiagram on a split diagram."""
+    n = pd.n
+    if n == 0:
+        return 0
+    mate = _connected_mates(pd)
+    # every circle is traced twice, once per direction (see orbit_count)
+    s_a, s_b = (orbit_count(mate, [e ^ flip for e in range(4 * n)]) // 2
+                for flip in (_A_FLIP, _B_FLIP))
+    twice = n + 2 - s_a - s_b
+    if twice < 0 or twice % 2:
+        raise ValueError(f"impossible loop counts all-A {s_a}, all-B {s_b} for n={n}")
+    return twice // 2
 
 
 def _to_t(p: LaurentPoly) -> LaurentPoly:

@@ -213,7 +213,8 @@ def orbit_count(mate: list[int], turn: list[int]) -> int:
       (``end_mates``).  With ``turn`` the next slot counterclockwise the
       orbits are the faces of the rotation system.  With ``turn`` a
       smoothing, an involution pairing the four ends of each crossing,
-      they are the circles of the smoothed diagram.  Since ``turn`` and
+      they are the circles of the smoothed diagram; ``poly.turaev_genus``
+      counts the all-A and all-B states this way.  Since ``turn`` and
       ``mate`` are then both involutions, every circle is traced twice,
       once per direction, so the orbit count is exactly twice the
       number of circles.

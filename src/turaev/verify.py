@@ -28,9 +28,8 @@ from dataclasses import dataclass
 
 from . import __version__
 from .corpus import CorpusRow
-from .diagram import turaev_genus
 from .dt import SignKind, classify_signs
-from .poly import equal_up_to_mirror, jones, span_t
+from .poly import equal_up_to_mirror, jones, span_t, turaev_genus
 from .realize import try_realize
 from .tangle import extract_substitutions, verify_substitution
 

@@ -1,8 +1,8 @@
-"""Slow reference brackets that ``poly.bracket`` is checked against.
+"""Slow reference models that ``poly`` is checked against.
 
-Both oracles are exponential in the crossing number and meant for
-diagrams with twelve or so crossings.  Both build the polynomial with
-the ``LaurentPoly`` ring operations and a delta power, not with the
+Both bracket oracles are exponential in the crossing number and meant
+for diagrams with twelve or so crossings.  Both build the polynomial
+with the ``LaurentPoly`` ring operations and a delta power, not with the
 binomial expansion of delta^k that ``poly.bracket`` uses.
 
 ``skein_bracket`` is the unmerged form of the contraction.  It shares
@@ -12,11 +12,15 @@ order rather than min-frontier order, writes its own smoothing pairs,
 and follows every branch on its own to a full state, so no two partial
 states are ever merged.
 
-``enumeration_bracket`` shares no arc splicing at all.  It sums over
-all 2^n state strings and counts each state's circles with
-``diagram.state_loops``, an orbit count over ``end_mates`` with the
-smoothing pairs of ``diagram.smoothing``, which ``poly.bracket`` also
-reads.
+``enumeration_bracket`` sums over all 2^n state strings and counts each
+state's circles with ``loops_oracle``, a circle tracer over (crossing,
+slot) tuples with its own edge maps and smoothing pairs.  It shares
+only ``PlanarDiagram`` and the ``LaurentPoly`` ring with ``poly``.
+
+``goeritz_determinant`` is the knot determinant from a second model of
+the diagram, the Goeritz matrix of its checkerboard colouring.  It
+walks the faces on its own and uses neither ``end_mates`` nor
+``orbit_count``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 
-from turaev.diagram import state_loops
 from turaev.poly import LaurentPoly
 from turaev.realize import PlanarDiagram, end_mates
 
@@ -83,13 +86,127 @@ def skein_bracket(pd: PlanarDiagram) -> LaurentPoly:
     return out
 
 
+def loops_oracle(pd: PlanarDiagram, state: str) -> int:
+    """Circles of the state, a string of A and B indexed by crossing.
+
+    The A smoothing joins slots (0,1) and (2,3), the B smoothing joins
+    (0,3) and (1,2).
+    """
+    arrive: dict[int, tuple[int, int]] = {}
+    depart: dict[int, tuple[int, int]] = {}
+    for c, cr in enumerate(pd.crossings):
+        for s, e in enumerate(cr.slots):
+            if s in (0, cr.over_in_slot):
+                arrive[e] = (c, s)
+            else:
+                depart[e] = (c, s)
+    pair: dict[tuple[int, int], tuple[int, int]] = {}
+    for c, kind in enumerate(state):
+        joins = [(0, 1), (2, 3)] if kind == "A" else [(0, 3), (1, 2)]
+        for sa, sb in joins:
+            pair[(c, sa)] = (c, sb)
+            pair[(c, sb)] = (c, sa)
+    loops = 0
+    todo = set(pair)
+    while todo:
+        loops += 1
+        start = min(todo)
+        cur = start
+        while True:
+            todo.discard(cur)
+            c, s = pair[cur]
+            todo.discard((c, s))
+            e = pd.crossings[c].slots[s]
+            cur = arrive[e] if depart[e] == (c, s) else depart[e]
+            todo.discard(cur)
+            if cur == start:
+                break
+    return loops
+
+
 def enumeration_bracket(pd: PlanarDiagram) -> LaurentPoly:
     """Full state sum over all 2^n state strings."""
     states = Counter()
     for state in map("".join, itertools.product("AB", repeat=pd.n)):
-        states[2 * state.count("A") - pd.n, state_loops(pd, state)] += 1
+        states[2 * state.count("A") - pd.n, loops_oracle(pd, state)] += 1
     delta = LaurentPoly.from_dict("A", {2: -1, -2: -1})
     out = LaurentPoly.zero("A")
     for (e, loops), k in states.items():
         out = out + LaurentPoly.monomial("A", e, k) * delta ** (loops - 1)
     return out
+
+
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination."""
+    m = [row[:] for row in m]
+    size = len(m)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if pivot is None:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if size else 1
+
+
+def goeritz_determinant(pd: PlanarDiagram) -> int:
+    """|det G'| for the Goeritz matrix G of the checkerboard colouring.
+
+    Corner k of crossing c lies between slots k and k + 1.  The faces
+    whose colour class holds corner (0, 0) are shaded.  A crossing has
+    eta = +1 when its shaded corners are 1 and 3, the ones the A
+    smoothing joins, and -1 otherwise.  G_ij = -sum eta over the
+    crossings between distinct shaded faces i and j, G_ii = -sum_{j != i} G_ij,
+    and G' deletes the row and column of corner (0, 0)'s face.  For a
+    knot diagram the result is the determinant |V(-1)|.
+    """
+    ends: dict[int, list[tuple[int, int]]] = {}
+    for c, cr in enumerate(pd.crossings):
+        for s, e in enumerate(cr.slots):
+            ends.setdefault(e, []).append((c, s))
+    across: dict[tuple[int, int], tuple[int, int]] = {}
+    for a, b in ends.values():
+        across[a], across[b] = b, a
+    # walking a face, the corner after (c, k) is the far end of the
+    # edge in slot k + 1
+    face: dict[tuple[int, int], int] = {}
+    corners: list[list[tuple[int, int]]] = []
+    for start in itertools.product(range(pd.n), range(4)):
+        if start not in face:
+            corners.append([])
+            corner = start
+            while corner not in face:
+                face[corner] = len(corners) - 1
+                corners[-1].append(corner)
+                c, k = corner
+                corner = across[c, (k + 1) % 4]
+    # corners k and k + 1 of a crossing lie in faces of opposite colours
+    colour = {face[0, 0]: 0}
+    todo = [face[0, 0]]
+    while todo:
+        f = todo.pop()
+        for c, k in corners[f]:
+            g = face[c, (k + 1) % 4]
+            if g not in colour:
+                colour[g] = 1 - colour[f]
+                todo.append(g)
+            elif colour[g] == colour[f]:
+                raise ValueError("the faces admit no checkerboard colouring")
+    shaded = sorted(f for f, col in colour.items() if col == 0)
+    index = {f: i for i, f in enumerate(shaded)}  # corner (0, 0)'s face first
+    matrix = [[0] * len(shaded) for _ in shaded]
+    for c in range(pd.n):
+        eta, k = (1, 1) if colour[face[c, 1]] == 0 else (-1, 0)
+        i, j = index[face[c, k]], index[face[c, k + 2]]
+        if i != j:
+            matrix[i][j] -= eta
+            matrix[j][i] -= eta
+    for i, row in enumerate(matrix):
+        row[i] = -sum(row)
+    return abs(_bareiss_det([row[1:] for row in matrix[1:]]))

@@ -42,9 +42,8 @@ from bracket_oracles import skein_bracket
 from diagram_fixtures import pretzel_dt
 from embedded_corpus import CORPUS_ABSENT, SKIP_REASON
 from turaev.corpus import load_corpus, validate_corpus
-from turaev.diagram import turaev_genus
 from turaev.dt import DtCode, SignKind, classify_signs, parse_dt
-from turaev.poly import bracket, equal_up_to_mirror, jones, span_t
+from turaev.poly import bracket, equal_up_to_mirror, jones, span_t, turaev_genus
 from turaev.realize import face_count, realize, try_realize
 from turaev.tangle import (
     ExtendedRational,

@@ -5,16 +5,21 @@ realizable codes and the mixed-sign fixtures, both kept in
 ``bracket_oracles.py`` next to these tests: the recursive skein
 bracket, which splices arcs like the contraction but never merges
 branches, and the full state enumeration, which shares nothing with
-the arc splicing and counts each state's circles with
-``state_loops``.  Frozen hand-derived values pin the conventions: the
+the arc splicing and counts each state's circles with its own circle
+tracer.  Frozen hand-derived values pin the conventions: the
 canonical kink realization brackets to -A^-3 (so its Jones is 1), and
 the trefoil's Jones is -t^-4 + t^-3 + t^-1 up to mirror with span 3.
-On diagrams up to 17 crossings every Jones polynomial satisfies
-V(1) = 1, V(e^(2 pi i/3)) = 1, |V(-1)| odd and span V <= n - g_T(D).  Shuffling the crossing storage
-sends the contraction through a different order and must not change
-the bracket.  Closed alternating 4-braids at n = 41 and 61, stored in
-DT order, check Kauffman-Murasugi-Thistlethwaite (span V = n on a
-reduced alternating diagram) at a size where storage order blows up.
+On diagrams up to 17 crossings and on the long braid closures below,
+every Jones polynomial satisfies V(1) = 1, V(e^(2 pi i/3)) = 1 and
+span V <= n - g_T(D), and |V(-1)| equals the determinant of the
+Goeritz matrix.  That matrix comes from a face walk and checkerboard
+colouring that share no code with the state sums, so the check ties
+the polynomial layer to a second model of the same diagram.  Shuffling
+the crossing storage sends the contraction through a different order
+and must not change the bracket.  Closed alternating 4-braids at
+n = 41 and 61, stored in DT order, check Kauffman-Murasugi-Thistlethwaite
+(span V = n on a reduced alternating diagram) at a size where storage
+order blows up.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ import random
 import pytest
 
 import turaev.poly
-from turaev.diagram import turaev_genus, writhe
 from turaev.dt import DtCode, parse_dt
 from turaev.poly import (
     BracketTooWide,
@@ -37,6 +41,8 @@ from turaev.poly import (
     equal_up_to_mirror,
     jones,
     span_t,
+    turaev_genus,
+    writhe,
 )
 from turaev.realize import (
     Crossing,
@@ -47,7 +53,7 @@ from turaev.realize import (
     validate_diagram,
 )
 
-from bracket_oracles import enumeration_bracket, skein_bracket
+from bracket_oracles import enumeration_bracket, goeritz_determinant, skein_bracket
 from diagram_fixtures import braid_closure_diagram, mirror, pretzel_dt, switch_crossing
 
 KINK = "{{1},{2}}"
@@ -85,8 +91,9 @@ def _random_diagrams(seed: int, count: int, max_n: int) -> list[PlanarDiagram]:
     return out
 
 
-def _assert_knot_values(v: LaurentPoly) -> None:
-    """V(1) = 1, V(omega) = 1 for omega = e^(2 pi i/3), and |V(-1)| odd.
+def _assert_knot_values(pd: PlanarDiagram, v: LaurentPoly) -> None:
+    """V(1) = 1, V(omega) = 1 for omega = e^(2 pi i/3), and |V(-1)| is
+    the Goeritz determinant of ``pd``.
 
     Exact in Z[omega]: with a_r the sum of the coefficients whose
     exponent is r mod 3, omega^2 = -1 - omega gives
@@ -97,7 +104,7 @@ def _assert_knot_values(v: LaurentPoly) -> None:
     for e, c in v.terms:
         a[e % 3] += c
     assert a[1] == a[2] and a[0] - a[2] == 1
-    assert sum(-c if e % 2 else c for e, c in v.terms) % 2 == 1
+    assert abs(sum(-c if e % 2 else c for e, c in v.terms)) == goeritz_determinant(pd)
 
 
 def _alternating_braid(seed: int, n: int) -> PlanarDiagram:
@@ -285,7 +292,7 @@ class TestJones:
         fixtures = [realize(parse_dt(t)) for t in (K12_MIN, OTHER_MIN, K12_REP)]
         for pd in _random_diagrams(15, 25, 8) + fixtures:
             v = jones(pd)
-            _assert_knot_values(v)
+            _assert_knot_values(pd, v)
             assert span_t(v) <= pd.n - turaev_genus(pd)
 
     @pytest.mark.parametrize("n", [41, 61])
@@ -294,12 +301,12 @@ class TestJones:
         validate_diagram(pd)
         assert face_count(pd) == n + 2
         v = jones(pd)
-        _assert_knot_values(v)
+        _assert_knot_values(pd, v)
         assert span_t(v) == n
         assert turaev_genus(pd) == 0
         switched = switch_crossing(pd, n // 2)
         v = jones(switched)
-        _assert_knot_values(v)
+        _assert_knot_values(switched, v)
         assert turaev_genus(switched) == 1
         assert span_t(v) <= n - 1
 
