@@ -15,11 +15,23 @@ arrival slots, every edge number appears exactly twice in the diagram,
 once as an arrival and once as a departure, and a kink's self-loop edge
 simply occupies two slots of the same crossing.
 
-Realization searches the 2^(n-1) per-crossing orientation choices in
-lexicographic order (crossing 0 pinned, which fixes one reflection of
-the sphere) and keeps the first whose rotation system has n + 2 faces,
-the Euler count of a sphere embedding.  The search is exhaustive, so a
-code is rejected only when no planar assignment exists at all.
+Realization reads the orientation word off the code instead of
+searching the 2^(n-1) candidates.  Crossing i's bit says whether the
+over strand enters at slot 1 (bit 0) or slot 3 (bit 1); XORed with
+[a_i < 0] it says from which side the even pass of crossing i crosses
+its odd pass.  Rosenstiehl's characterization of Gauss words (proved by
+de Fraysseix and Ossona de Mendez, 1999) 2-colours the interlacement
+graph of the chords (2i+1, |a_i|) by exactly these sides: along an
+interlacement edge the side flips when the two crossings share an even
+number of interlaced neighbours.  So the bits are fixed up to one
+reflection per component, and giving each component's lowest crossing
+bit 0 picks the lexicographically first embedding word.
+
+The built rotation system is then checked once: it embeds in the
+sphere exactly when it has n + 2 faces, the Euler count.  A code with a
+plane curve always gets bits that embed it, and a code without one has
+no sphere embedding under any bits, so a short face count proves that
+every candidate falls short and the code is rejected.
 """
 
 from __future__ import annotations
@@ -80,97 +92,73 @@ class RealizationResult:
     obstruction: str | None = None
 
 
-def _pass_times(code: DtCode) -> tuple[list[int], list[int]]:
-    """0-based (under, over) pass times per crossing."""
-    under = []
-    over = []
-    for i, a in enumerate(code.labels):
-        odd = 2 * i  # 0-based odd pass time
-        even = abs(a) - 1
-        if a > 0:
-            under.append(even)
-            over.append(odd)
-        else:
-            under.append(odd)
-            over.append(even)
-    return under, over
+def _orientation_bits(code: DtCode) -> list[int]:
+    """One orientation bit per crossing, read off the interlacement graph.
 
-
-def _assemble(code: DtCode, mask: int) -> PlanarDiagram:
-    n = code.n
-    two_n = 2 * n
-    under, over = _pass_times(code)
-
-    def edge_in(t: int) -> int:  # edge arriving at pass t, 1-based
-        return (t - 1) % two_n + 1
-
-    def edge_out(t: int) -> int:  # edge leaving pass t, 1-based
-        return t + 1
-
-    crossings = []
-    for i in range(n):
-        b = 0 if i == 0 else (mask >> (n - 1 - i)) & 1
-        u, o = under[i], over[i]
-        if b == 0:
-            slots = (edge_in(u), edge_in(o), edge_out(u), edge_out(o))
-            over_in = 1
-        else:
-            slots = (edge_in(u), edge_out(o), edge_out(u), edge_in(o))
-            over_in = 3
-        crossings.append(Crossing(slots, over_in))
-    return PlanarDiagram(tuple(crossings))
-
-
-def _scan_orientations(n: int, under: list[int], over: list[int]) -> int:
-    """Return the first orientation mask embedding the code, or -1.
-
-    Bit 0 of the lexicographic word (crossing 0) is pinned to 0, which
-    selects one diagram out of each mirror pair.  The mask packs bits
-    for crossings 1..n-1 with crossing 1 most significant.  Ends are
-    numbered by pass time, as ``orbit_count`` describes.
+    Each component, taken in ascending order of its lowest crossing,
+    gets bit 0 at that crossing.  Along each DFS tree edge u -> v the
+    bit of v follows by Rosenstiehl's rule, flipped when u and v share
+    an even number of neighbours and once more for each negative label
+    of the two.  Non-tree edges are not checked: the face count in
+    ``realize`` decides.
     """
-    two_n = 2 * n
-    mate = [0] * (4 * n)
-    for t in range(two_n):
-        nxt = (t + 1) % two_n
-        mate[2 * t] = 2 * nxt + 1
-        mate[2 * nxt + 1] = 2 * t
-    sigma = [0] * (4 * n)
-    for mask in range(1 << (n - 1)):
-        for i in range(n):
-            b = 0 if i == 0 else (mask >> (n - 1 - i)) & 1
-            s0 = 2 * under[i] + 1
-            s2 = 2 * under[i]
-            if b == 0:
-                s1, s3 = 2 * over[i] + 1, 2 * over[i]
-            else:
-                s1, s3 = 2 * over[i], 2 * over[i] + 1
-            sigma[s0] = s1
-            sigma[s1] = s2
-            sigma[s2] = s3
-            sigma[s3] = s0
-        if orbit_count(mate, sigma) == n + 2:
-            return mask
-    return -1
+    n = code.n
+    chords = [sorted((2 * i + 1, abs(a))) for i, a in enumerate(code.labels)]
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for i, (a0, a1) in enumerate(chords):
+        for j in range(i + 1, n):
+            b0, b1 = chords[j]
+            if (a0 < b0 < a1) != (a0 < b1 < a1):
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+    neg = [a < 0 for a in code.labels]
+    bits: list[int | None] = [None] * n
+    for root in range(n):
+        if bits[root] is not None:
+            continue
+        bits[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in nbrs[u]:
+                if bits[v] is None:
+                    even = len(nbrs[u] & nbrs[v]) % 2 == 0
+                    bits[v] = bits[u] ^ neg[u] ^ neg[v] ^ even
+                    stack.append(v)
+    return bits
+
+
+def _assemble(code: DtCode, bits: list[int]) -> PlanarDiagram:
+    two_n = 2 * code.n
+    crossings = []
+    for i, (a, b) in enumerate(zip(code.labels, bits)):
+        odd, even = 2 * i, abs(a) - 1  # 0-based pass times
+        u, o = (even, odd) if a > 0 else (odd, even)
+        # pass t arrives along edge t (edge 2n at pass 0), leaves along t + 1
+        u_in, o_in = (u - 1) % two_n + 1, (o - 1) % two_n + 1
+        if b == 0:
+            slots = (u_in, o_in, u + 1, o + 1)
+        else:
+            slots = (u_in, o + 1, u + 1, o_in)
+        crossings.append(Crossing(slots, 3 if b else 1))
+    return PlanarDiagram(tuple(crossings))
 
 
 def realize(code: DtCode) -> PlanarDiagram:
     """Realize a code as a plane diagram, or raise NotRealizable.
 
-    Deterministic: the lexicographically first orientation word that
-    embeds in the sphere is returned, with crossing 0 pinned so that a
-    code and its reflection do not race.
+    Deterministic: each interlacement component's lowest crossing has
+    bit 0, which is the lexicographically first orientation word that
+    embeds in the sphere, so a code and its reflection do not race.
     """
-    if code.n == 0:
-        return PlanarDiagram(())
-    mask = _scan_orientations(code.n, *_pass_times(code))
-    if mask < 0:
+    pd = _assemble(code, _orientation_bits(code))
+    if face_count(pd) != code.n + 2:
         raise NotRealizable(
             f"no planar orientation assignment for {code}: every "
             f"{1 << (code.n - 1)} candidate rotation system has fewer than "
             f"{code.n + 2} faces"
         )
-    return _assemble(code, mask)
+    return pd
 
 
 def try_realize(code: DtCode) -> RealizationResult:
@@ -206,25 +194,15 @@ def orbit_count(mate: list[int], turn: list[int]) -> int:
     """Number of orbits of ``e -> turn[mate[e]]`` on the ends 0..len(mate)-1.
 
     ``mate`` pairs the two ends of each edge and ``turn`` says where a
-    walk goes next at the crossing it arrives at.  Two end numberings
-    use this:
-
-    - A realized diagram numbers its ends 4 * crossing + slot
-      (``end_mates``).  With ``turn`` the next slot counterclockwise the
-      orbits are the faces of the rotation system.  With ``turn`` a
-      smoothing, an involution pairing the four ends of each crossing,
-      they are the circles of the smoothed diagram; ``poly.turaev_genus``
-      counts the all-A and all-B states this way.  Since ``turn`` and
-      ``mate`` are then both involutions, every circle is traced twice,
-      once per direction, so the orbit count is exactly twice the
-      number of circles.
-    - The realization search numbers ends by 0-based pass time t in
-      [0, 2n): the strand leaves the crossing of pass t through the
-      out-end 2t and arrives at the crossing of pass t+1 through the
-      in-end 2(t+1) + 1.  The edge pairing is then fixed once per code,
-      while ``turn``, the cyclic order at each crossing, depends on the
-      orientation bit being searched.  A candidate embeds the diagram
-      in the sphere exactly when the face count hits n + 2.
+    walk goes next at the crossing it arrives at.  Ends are numbered
+    4 * crossing + slot (``end_mates``).  With ``turn`` the next slot
+    counterclockwise the orbits are the faces of the rotation system.
+    With ``turn`` a smoothing, an involution pairing the four ends of
+    each crossing, they are the circles of the smoothed diagram;
+    ``poly.turaev_genus`` counts the all-A and all-B states this way.
+    Since ``turn`` and ``mate`` are then both involutions, every circle
+    is traced twice, once per direction, so the orbit count is exactly
+    twice the number of circles.
     """
     seen = [False] * len(mate)
     orbits = 0

@@ -10,7 +10,8 @@ one, so regions of equal sign alternate and a sign change breaks
 alternation.
 
 The braid tracer builds a plane diagram directly, without a DT code,
-for closures too long for the realization search.
+and ``dt_of`` reads the DT code back off any diagram, so realization
+can be checked against a diagram it did not build.
 
 ``switch_crossing`` and ``mirror`` exchange over and under strands at
 one crossing or at all of them.
@@ -125,6 +126,16 @@ def braid_closure_diagram(word: list[int]) -> PlanarDiagram:
         odd = next(p for p, _ in passes if p % 2)
         crossings[odd // 2] = Crossing(tuple(edge[q] for q in ports), 3 if g > 0 else 1)
     return PlanarDiagram(tuple(crossings))
+
+
+def dt_of(pd: PlanarDiagram) -> DtCode:
+    """The DT code of a diagram numbered as ``realize`` numbers it."""
+    two_n, labels = pd.n_edges, [0] * pd.n
+    for cr in pd.crossings:  # edge k arrives at pass k + 1
+        under, over = cr.slots[0] % two_n + 1, cr.slots[cr.over_in_slot] % two_n + 1
+        odd, even = (under, over) if under % 2 else (over, under)
+        labels[odd // 2] = -even if even == over else even
+    return DtCode(pd.n, tuple(labels))
 
 
 def _switched(cr: Crossing) -> Crossing:

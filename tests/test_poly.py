@@ -19,7 +19,9 @@ the crossing storage sends the contraction through a different order
 and must not change the bracket.  Closed alternating 4-braids at
 n = 41 and 61, stored in DT order, check Kauffman-Murasugi-Thistlethwaite
 (span V = n on a reduced alternating diagram) at a size where storage
-order blows up.
+order blows up, and ``realize`` rebuilds each of them, and its
+one-crossing switch, from the DT code alone with the same bracket up
+to mirror.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from turaev.realize import (
 )
 
 from bracket_oracles import enumeration_bracket, goeritz_determinant, skein_bracket
-from diagram_fixtures import braid_closure_diagram, mirror, pretzel_dt, switch_crossing
+from diagram_fixtures import braid_closure_diagram, dt_of, mirror, pretzel_dt, switch_crossing
 
 KINK = "{{1},{2}}"
 TREFOIL = "{{3},{4,6,2}}"
@@ -309,6 +311,13 @@ class TestJones:
         _assert_knot_values(switched, v)
         assert turaev_genus(switched) == 1
         assert span_t(v) <= n - 1
+        # realization rebuilds both diagrams from their DT codes alone
+        for fixture in (pd, switched):
+            realized = realize(dt_of(fixture))
+            validate_diagram(realized)
+            assert face_count(realized) == n + 2
+            b = bracket(fixture)
+            assert bracket(realized) in (b, b.mirrored())
 
     def test_coefficients_stay_below_bound(self) -> None:
         pd = realize(parse_dt(K12_REP))

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from turaev.dt import DtCode, parse_dt
 from turaev.realize import (
+    Crossing,
     NotRealizable,
     PlanarDiagram,
     face_count,
@@ -16,6 +17,8 @@ from turaev.realize import (
     validate_diagram,
 )
 
+from diagram_fixtures import braid_closure_diagram, dt_of
+
 TREFOIL = parse_dt("{{3},{4,6,2}}")
 KINK = parse_dt("{{1},{2}}")
 K11N183_REP = parse_dt("{{12},{-6,10,22,18,2,16,24,20,8,12,4,14}}")
@@ -23,27 +26,29 @@ TWELVE_MIN = parse_dt("{{12},{4,8,14,2,-18,16,6,20,22,-24,12,-10}}")
 TWELVE_REP = parse_dt("{{17},{4,8,14,2,24,32,6,30,26,28,-16,12,34,18,20,22,10}}")
 
 
-def _max_faces_over_all_orientations(code: DtCode) -> int:
-    # Oracle for realizability, written against the same conventions but
-    # over the full, unpinned 2^n orientation space with its own tracer.
+def _first_embedding_bits(code: DtCode) -> tuple[int, ...] | None:
+    # Oracle for realization, written against the same conventions but
+    # with its own tracer: crossing 0 pinned to bit 0, the bits of
+    # crossings 1..n-1 walked in lexicographic order, and the first word
+    # whose rotation system has n + 2 faces returned (None if none does).
     n = code.n
     two = 2 * n
-    best = 0
-    for mask in range(1 << n):
+    mate: dict[tuple[int, str], tuple[int, str]] = {}
+    for t in range(two):
+        mate[(t, "out")] = ((t + 1) % two, "in")
+        mate[((t + 1) % two, "in")] = (t, "out")
+    for rest in product((0, 1), repeat=n - 1):
+        bits = (0, *rest)
         rot: dict[tuple[int, str], tuple[int, str]] = {}
-        for i in range(n):
+        for i, b in enumerate(bits):
             p, q = 2 * i, abs(code.labels[i]) - 1
             u, o = (q, p) if code.labels[i] > 0 else (p, q)
-            if (mask >> i) & 1 == 0:
+            if b == 0:
                 cyc = [(u, "in"), (o, "in"), (u, "out"), (o, "out")]
             else:
                 cyc = [(u, "in"), (o, "out"), (u, "out"), (o, "in")]
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                rot[a] = b
-        mate: dict[tuple[int, str], tuple[int, str]] = {}
-        for t in range(two):
-            mate[(t, "out")] = ((t + 1) % two, "in")
-            mate[((t + 1) % two, "in")] = (t, "out")
+            for a, c in zip(cyc, cyc[1:] + cyc[:1]):
+                rot[a] = c
         seen: set[tuple[int, str]] = set()
         faces = 0
         for e0 in rot:
@@ -53,8 +58,29 @@ def _max_faces_over_all_orientations(code: DtCode) -> int:
                 while e not in seen:
                     seen.add(e)
                     e = rot[mate[e]]
-        best = max(best, faces)
-    return best
+        if faces == n + 2:
+            return bits
+    return None
+
+
+def _braid_codes(seed: int, count: int) -> list[DtCode]:
+    """Codes of seeded braid closures with n = 7..12, every second one
+    read with the traversal started an even number of passes later."""
+    rng = random.Random(seed)
+    codes: list[DtCode] = []
+    while len(codes) < count:
+        n = rng.randint(7, 12)
+        gens = (1, 2, 3) if n % 2 else (1, 2)
+        try:
+            pd = braid_closure_diagram([rng.choice(gens) * rng.choice((1, -1)) for _ in range(n)])
+        except ValueError:  # closes to a link
+            continue
+        shift = 2 * rng.randrange(n) if len(codes) % 2 else 0
+        two_n = 2 * n
+        codes.append(dt_of(PlanarDiagram(tuple(
+            Crossing(tuple((e - 1 - shift) % two_n + 1 for e in cr.slots), cr.over_in_slot)
+            for cr in pd.crossings))))
+    return codes
 
 
 def test_trefoil_realization() -> None:
@@ -104,30 +130,35 @@ def test_format_diagram_shape() -> None:
 
 
 def test_exhaustive_small_codes_against_full_enumeration() -> None:
-    # Every 4- and 5-crossing unsigned arrangement, checked against an
-    # independent tracer running the full unpinned orientation space.
-    # At least one non-realizable witness must exist at this size.
+    # Every arrangement with n <= 6 under seeded signs, plus seeded braid
+    # codes up to n = 12, checked against an independent tracer over the
+    # pinned orientation space: realize rejects exactly when no word
+    # embeds, and otherwise picks the first word that does.
+    rng = random.Random(33)
+    codes = [
+        DtCode(n, tuple(a if rng.random() < 0.5 else -a for a in perm))
+        for n in range(1, 7)
+        for perm in permutations(range(2, 2 * n + 1, 2))
+    ]
     witnesses = []
-    for n in (4, 5):
-        for perm in permutations(range(2, 2 * n + 1, 2)):
-            code = DtCode(n, perm)
-            result = try_realize(code)
-            realizable = _max_faces_over_all_orientations(code) == n + 2
-            if result.diagram is not None:
-                assert realizable
-                assert face_count(result.diagram) == n + 2
-                validate_diagram(result.diagram)
-            else:
-                assert not realizable
-                witnesses.append(code)
-    assert witnesses, "expected some non-realizable 4- or 5-crossing code"
+    for code in codes + _braid_codes(34, 20):
+        result = try_realize(code)
+        bits = _first_embedding_bits(code)
+        if result.diagram is None:
+            assert bits is None, code
+            witnesses.append(code)
+        else:
+            assert tuple(int(cr.over_in_slot == 3) for cr in result.diagram.crossings) == bits, code
+            assert face_count(result.diagram) == code.n + 2
+            validate_diagram(result.diagram)
+    assert witnesses, "expected some non-realizable code with n <= 6"
     with pytest.raises(NotRealizable):
         realize(witnesses[0])
 
 
 def test_signs_do_not_affect_realizability() -> None:
     # Flipping over/under at a crossing relabels its slots but keeps the
-    # same rotation systems available, so the face search is unaffected.
+    # same rotation systems available, so realizability is unaffected.
     rng = random.Random(20)
     for _ in range(60):
         n = rng.randint(3, 7)
