@@ -20,9 +20,14 @@ local contraction, in its bracket form).  A partial state is an arc
 table over the ends 4c + s: each live end maps to the other end of its
 arc, and -1 marks an end already smoothed.  Smoothing a crossing either
 closes a circle or splices two arcs.  Partial states with equal arc
-tables are merged, their counts kept by (number of A smoothings, circles
-closed), so the cost follows the number of distinct tables alive at
-once rather than 2^n.
+tables are merged, so the cost follows the number of distinct tables
+alive at once rather than 2^n.  Each table keeps one integer: the sum
+of A^(a - b) delta^(circles closed) over its partial states, times
+A^(3n + 2), evaluated at A = 2^(2n + 4) (Kronecker substitution).  An A
+smoothing is a left shift, a B smoothing a right shift, a closed circle
+v -> -(v * A^2 + v / A^2), and merging two tables one addition.  The
+bounds that make every right shift exact and every coefficient one
+base-2^(2n + 4) digit are argued in ``bracket``.
 
 That number depends on the order of the crossings, and the bracket does
 not.  The crossings are taken in min-frontier order: crossing 0 first,
@@ -37,11 +42,11 @@ an alternating 4-braid closure took seconds at n = 41 and did not finish
 in minutes at n = 61.  This order peaks at 18 tables on the census
 diagrams and at a few hundred on 4-braid closures up to n = 61.
 
-The polynomial is assembled from the final counts in arbitrary-precision
-integers.  Jones is the usual writhe normalization V = (-A)^(-3w) <D>
-rewritten in t = A^-4; the exponent division by 4 is asserted, so a
-convention bug anywhere upstream fails loudly instead of producing a
-quietly wrong polynomial.
+The polynomial is read off the final integer as signed digits.  Jones
+is the usual writhe normalization V = (-A)^(-3w) <D> rewritten in
+t = A^-4; the exponent division by 4 is asserted, so a convention bug
+anywhere upstream fails loudly instead of producing a quietly wrong
+polynomial.
 
 The Turaev genus of a connected diagram is g_T = (n + 2 - s_A - s_B) / 2,
 with s_A and s_B the circle counts of its all-A and all-B states (Dasbach,
@@ -52,7 +57,6 @@ exactly on diagrams built from alternating pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 from .realize import PlanarDiagram, end_mates, orbit_count
 
@@ -207,14 +211,17 @@ def _connected_mates(pd: PlanarDiagram) -> list[int]:
 def _frontier_order(mate: list[int], n: int) -> list[int]:
     """Crossing 0, then repeatedly the uncontracted crossing with the
     most ends mated to contracted ones, ties to the lowest index."""
-    joined = [0] * n  # ends mated to a contracted crossing
-    left = set(range(1, n))
+    score: dict[int, int] = {}  # frontier crossing -> 4n * joined ends - index
+    placed = [False] * n
     order = [0]
-    while left:
+    while len(order) < n:
+        placed[order[-1]] = True
         for e in range(4 * order[-1], 4 * order[-1] + 4):
-            joined[mate[e] // 4] += 1
-        c = max(left, key=lambda i: (joined[i], -i))
-        left.remove(c)
+            nb = mate[e] // 4
+            if not placed[nb]:
+                score[nb] = score.get(nb, -nb) + 4 * n
+        c = max(score, key=score.__getitem__)
+        del score[c]
         order.append(c)
     return order
 
@@ -230,42 +237,51 @@ def bracket(pd: PlanarDiagram) -> LaurentPoly:
     if n == 0:
         return LaurentPoly.one("A")
     mate = _connected_mates(pd)
-    # arc table -> {(A smoothings, closed circles): states}
-    layer = {tuple(mate): {(0, 0): 1}}
+    # A table's weight is A^off * sum A^(a - b) delta^(closed) over its
+    # partial states, evaluated at A = 2^w.  The state graph is connected,
+    # one vertex per circle and one edge per crossing, so a state has at
+    # most n + 1 circles, and the last is never weighted.  So exponents
+    # stay within n + 2n: the right shifts (A^-1, A^-2) drop only zero
+    # digits, and a bracket coefficient, at most 2^n states times 2^n, is
+    # below 2^(w - 1), one signed base-2^w digit.
+    w, w2, off = 2 * n + 4, 4 * n + 8, 3 * n + 2
+    layer = {tuple(mate): 1 << (w * off)}
     for step, c in enumerate(_frontier_order(mate, n)):
-        merged: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-        for arcs, counts in layer.items():
-            for flip, da in ((_A_FLIP, 1), (_B_FLIP, 0)):
+        e0, e1, e2, e3 = range(4 * c, 4 * c + 4)
+        merged: dict[tuple[int, ...], int] = {}
+        for arcs, weight in layer.items():
+            # A joins (e0, e1) and (e2, e3), B joins (e0, e3) and (e1, e2)
+            for v, x0, y0, x1, y1 in ((weight << w, e0, e1, e2, e3),
+                                      (weight >> w, e0, e3, e1, e2)):
                 arc = list(arcs)
-                closed = 0
-                for x in range(4 * c, 4 * c + 4):
-                    y = x ^ flip
-                    if x > y:
-                        continue
-                    if arc[x] == y:
-                        closed += 1
-                    else:
-                        u, v = arc[x], arc[y]
-                        arc[u], arc[v] = v, u
-                    arc[x] = arc[y] = -1
-                out = merged.setdefault(tuple(arc), {})
-                for (a, loops), states in counts.items():
-                    key = (a + da, loops + closed)
-                    out[key] = out.get(key, 0) + states
+                if arc[x0] == y0:  # a circle closes: times delta
+                    v = -((v << w2) + (v >> w2))
+                else:
+                    u, t = arc[x0], arc[y0]
+                    arc[u], arc[t] = t, u
+                arc[x0] = arc[y0] = -1
+                if arc[x1] != y1:
+                    u, t = arc[x1], arc[y1]
+                    arc[u], arc[t] = t, u
+                elif step < n - 1:  # last step: the unweighted circle
+                    v = -((v << w2) + (v >> w2))
+                arc[x1] = arc[y1] = -1
+                key = tuple(arc)
+                merged[key] = merged.get(key, 0) + v
         if len(merged) > _MAX_TABLES:
             raise BracketTooWide(
                 f"bracket of a {n}-crossing diagram: {len(merged)} arc tables "
                 f"at step {step + 1} of {n}, over the cap of {_MAX_TABLES}"
             )
         layer = merged
-    (counts,) = layer.values()
-    # delta^k = (-1)^k sum_j C(k, j) A^(2k - 4j)
+    (total,) = layer.values()
     coeffs: dict[int, int] = {}
-    for (a, loops), states in counts.items():
-        k = loops - 1
-        for j in range(k + 1):
-            e = 2 * a - n + 2 * k - 4 * j
-            coeffs[e] = coeffs.get(e, 0) + (-1) ** k * comb(k, j) * states
+    e = -off
+    while total:  # signed base-2^w digits, lowest first
+        digit = ((total + (1 << w - 1)) & ((1 << w) - 1)) - (1 << w - 1)
+        coeffs[e] = digit
+        total = (total - digit) >> w
+        e += 1
     return LaurentPoly.from_dict("A", coeffs)
 
 
@@ -292,14 +308,12 @@ def turaev_genus(pd: PlanarDiagram) -> int:
 
 def _to_t(p: LaurentPoly) -> LaurentPoly:
     """Rewrite an A-polynomial in t = A^-4, asserting divisibility."""
-    out: dict[int, int] = {}
-    for e, c in p.terms:
+    for e, _ in p.terms:
         if e % 4:
             raise NormalizationFailure(
                 f"exponent {e} not divisible by 4 in {p.render()}"
             )
-        out[-e // 4] = c
-    return LaurentPoly.from_dict("t", out)
+    return LaurentPoly("t", tuple((-e // 4, c) for e, c in reversed(p.terms)))
 
 
 def jones(pd: PlanarDiagram) -> LaurentPoly:
@@ -307,8 +321,8 @@ def jones(pd: PlanarDiagram) -> LaurentPoly:
     br = bracket(pd)
     w = writhe(pd)
     sign = -1 if w % 2 else 1
-    normalized = br * LaurentPoly.monomial("A", -3 * w, sign)
-    return _to_t(normalized)
+    shifted = tuple((e - 3 * w, sign * c) for e, c in br.terms)
+    return _to_t(LaurentPoly("A", shifted))
 
 
 def span_t(p: LaurentPoly) -> int:

@@ -16,6 +16,12 @@ applicable check passes, FAILED otherwise.  Substitution failures on
 rows whose conway_check is "anomalous" downgrade to warnings: the row
 stays visible without masking the DT-level result.
 
+A stage that raises one of its known errors (``jones``: BracketTooWide,
+DisconnectedDiagram, NormalizationFailure; ``turaev_genus``: an
+impossible circle count) fails the checks it feeds, and the row gets a
+warning "<row>: <stage> raised <Type>: <message>"; the other rows still
+run.
+
 Rendered report bodies (text, JSON, CSV) exclude the wall-clock
 duration, so two runs over the same corpus are byte identical.
 """
@@ -29,7 +35,15 @@ from dataclasses import dataclass
 from . import __version__
 from .corpus import CorpusRow
 from .dt import SignKind, classify_signs
-from .poly import equal_up_to_mirror, jones, span_t, turaev_genus
+from .poly import (
+    BracketTooWide,
+    DisconnectedDiagram,
+    NormalizationFailure,
+    equal_up_to_mirror,
+    jones,
+    span_t,
+    turaev_genus,
+)
 from .realize import try_realize
 from .tangle import extract_substitutions, verify_substitution
 
@@ -107,10 +121,23 @@ def _check_substitutions(row: CorpusRow) -> tuple[str, tuple[str, ...]]:
     return FAIL, ()
 
 
+_JONES_ERRORS = (BracketTooWide, DisconnectedDiagram, NormalizationFailure)
+
+
+def _stage(row: CorpusRow, stage: str, fn, errors, pd, warnings: list[str]):
+    """``fn(pd)``, or None with a warning when it raises one of ``errors``."""
+    try:
+        return fn(pd)
+    except errors as exc:
+        warnings.append(
+            f"{row.name}: {stage} raised {type(exc).__name__}: {exc}")
+        return None
+
+
 def verify_row(row: CorpusRow) -> RowResult:
     """Run every applicable check; failures are recorded, not raised."""
     checks = {name: NOT_APPLICABLE for name in CHECK_NAMES}
-    warnings: tuple[str, ...] = ()
+    warnings: list[str] = []
     jones_min = ""
     span: int | None = None
     genus_min: int | None = None
@@ -118,16 +145,18 @@ def verify_row(row: CorpusRow) -> RowResult:
 
     d_min = try_realize(row.dt_min).diagram
     checks["realizable_min"] = PASS if d_min is not None else FAIL
-    j_min = None
     if d_min is not None:
-        j_min = jones(d_min)
-        jones_min = j_min.render()
-        span = span_t(j_min)
-        genus_min = turaev_genus(d_min)
+        j_min = _stage(row, "jones_min", jones, _JONES_ERRORS, d_min, warnings)
+        if j_min is not None:
+            jones_min = j_min.render()
+            span = span_t(j_min)
+        genus_min = _stage(row, "genus_min", turaev_genus, ValueError,
+                           d_min, warnings)
         checks["genus_min_at_least_1"] = (
-            PASS if genus_min >= 1 else FAIL)
+            PASS if genus_min is not None and genus_min >= 1 else FAIL)
         checks["span_lt_crossing_number"] = (
-            PASS if span < row.crossing_number else FAIL)
+            PASS if span is not None and span < row.crossing_number
+            else FAIL)
 
     if row.status == "resolved" and row.dt_rep is not None:
         d_rep = try_realize(row.dt_rep).diagram
@@ -136,15 +165,19 @@ def verify_row(row: CorpusRow) -> RowResult:
         checks["rep_almost_alternating"] = (
             PASS if kind is SignKind.ALMOST_ALTERNATING else FAIL)
         if d_rep is not None:
-            if j_min is not None:
-                checks["jones_match_up_to_mirror"] = (
-                    PASS if equal_up_to_mirror(j_min, jones(d_rep))
-                    else FAIL)
-            genus_rep = turaev_genus(d_rep)
+            if d_min is not None:
+                j_rep = _stage(row, "jones_rep", jones, _JONES_ERRORS,
+                               d_rep, warnings)
+                match = (j_min is not None and j_rep is not None
+                         and equal_up_to_mirror(j_min, j_rep))
+                checks["jones_match_up_to_mirror"] = PASS if match else FAIL
+            genus_rep = _stage(row, "genus_rep", turaev_genus, ValueError,
+                               d_rep, warnings)
             checks["genus_rep_equals_1"] = (
                 PASS if genus_rep == 1 else FAIL)
-        checks["conway_substitutions_ok"], warnings = (
+        checks["conway_substitutions_ok"], sub_warnings = (
             _check_substitutions(row))
+        warnings.extend(sub_warnings)
 
     if row.status == "open":
         verdict = OPEN
@@ -155,7 +188,7 @@ def verify_row(row: CorpusRow) -> RowResult:
     return RowResult(
         name=row.name, verdict=verdict, checks=checks,
         jones_min=jones_min, span=span, genus_min=genus_min,
-        genus_rep=genus_rep, warnings=warnings)
+        genus_rep=genus_rep, warnings=tuple(warnings))
 
 
 def verify_all(rows: list[CorpusRow],

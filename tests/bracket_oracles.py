@@ -17,6 +17,11 @@ state's circles with ``loops_oracle``, a circle tracer over (crossing,
 slot) tuples with its own edge maps and smoothing pairs.  It shares
 only ``PlanarDiagram`` and the ``LaurentPoly`` ring with ``poly``.
 
+``frontier_order_oracle`` is the min-frontier rule of
+``poly._frontier_order`` written as a plain scan: every step counts the
+joined ends of every uncontracted crossing and takes the largest count,
+ties to the lowest index.
+
 ``goeritz_determinant`` is the knot determinant from a second model of
 the diagram, the Goeritz matrix of its checkerboard colouring.  It
 walks the faces on its own and uses neither ``end_mates`` nor
@@ -134,6 +139,21 @@ def enumeration_bracket(pd: PlanarDiagram) -> LaurentPoly:
     for (e, loops), k in states.items():
         out = out + LaurentPoly.monomial("A", e, k) * delta ** (loops - 1)
     return out
+
+
+def frontier_order_oracle(mate: list[int], n: int) -> list[int]:
+    """Crossing 0, then repeatedly the uncontracted crossing with the
+    most ends mated to contracted ones, ties to the lowest index."""
+    joined = [0] * n  # ends mated to a contracted crossing
+    left = set(range(1, n))
+    order = [0]
+    while left:
+        for e in range(4 * order[-1], 4 * order[-1] + 4):
+            joined[mate[e] // 4] += 1
+        c = max(left, key=lambda i: (joined[i], -i))
+        left.remove(c)
+        order.append(c)
+    return order
 
 
 def _bareiss_det(m: list[list[int]]) -> int:

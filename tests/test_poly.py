@@ -6,9 +6,13 @@ realizable codes and the mixed-sign fixtures, both kept in
 bracket, which splices arcs like the contraction but never merges
 branches, and the full state enumeration, which shares nothing with
 the arc splicing and counts each state's circles with its own circle
-tracer.  Frozen hand-derived values pin the conventions: the
-canonical kink realization brackets to -A^-3 (so its Jones is 1), and
-the trefoil's Jones is -t^-4 + t^-3 + t^-1 up to mirror with span 3.
+tracer.  The min-frontier order is checked against
+``frontier_order_oracle``, a plain scan over every uncontracted
+crossing, on the same diagrams and the long closures, so the table
+counts behind ``BracketTooWide`` do not drift.  Frozen hand-derived
+values pin the conventions: the canonical kink realization brackets to
+-A^-3 (so its Jones is 1), and the trefoil's Jones is
+-t^-4 + t^-3 + t^-1 up to mirror with span 3.
 On diagrams up to 17 crossings and on the long braid closures below,
 every Jones polynomial satisfies V(1) = 1, V(e^(2 pi i/3)) = 1 and
 span V <= n - g_T(D), and |V(-1)| equals the determinant of the
@@ -38,6 +42,7 @@ from turaev.poly import (
     LaurentPoly,
     NormalizationFailure,
     ZeroPolynomial,
+    _frontier_order,
     _to_t,
     bracket,
     equal_up_to_mirror,
@@ -49,13 +54,19 @@ from turaev.poly import (
 from turaev.realize import (
     Crossing,
     PlanarDiagram,
+    end_mates,
     face_count,
     realize,
     try_realize,
     validate_diagram,
 )
 
-from bracket_oracles import enumeration_bracket, goeritz_determinant, skein_bracket
+from bracket_oracles import (
+    enumeration_bracket,
+    frontier_order_oracle,
+    goeritz_determinant,
+    skein_bracket,
+)
 from diagram_fixtures import braid_closure_diagram, dt_of, mirror, pretzel_dt, switch_crossing
 
 KINK = "{{1},{2}}"
@@ -235,6 +246,14 @@ class TestBracket:
         rng = random.Random(17)
         for pd in _random_diagrams(15, 25, 8) + [_alternating_braid(41, 41)]:
             assert bracket(_shuffled(pd, rng)) == bracket(pd)
+
+    def test_frontier_order_matches_oracle(self) -> None:
+        fixtures = [realize(parse_dt(t)) for t in (K12_MIN, OTHER_MIN, K12_REP)]
+        closures = [_alternating_braid(n, n) for n in (41, 61)]
+        for pd in _random_diagrams(15, 25, 8) + fixtures + closures:
+            mate = end_mates(pd)
+            assert (_frontier_order(mate, pd.n)
+                    == frontier_order_oracle(mate, pd.n))
 
     def test_cap_on_live_tables(self, monkeypatch: pytest.MonkeyPatch) -> None:
         pd = realize(parse_dt(K12_MIN))

@@ -3,8 +3,10 @@
 The rows here are hand-built CorpusRow objects, small enough to
 realize instantly: a trefoil with a sign-flipped twin exercises the
 resolved-row path (the flip changes the knot, so the Jones match
-fails), and a rep-less row exercises the open path.  Corpus-scale
-behavior lives in the acceptance tests.
+fails), and a rep-less row exercises the open path.  A bracket cap of
+4 arc tables, or a genus stage that raises, fails only the checks that
+stage feeds, with a warning, and the report still comes back.
+Corpus-scale behavior lives in the acceptance tests.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import json
 
 import pytest
 
+import turaev.poly
+import turaev.verify
 from turaev.corpus import CorpusRow
 from turaev.dt import parse_dt
 from turaev.verify import (
@@ -32,6 +36,8 @@ from turaev.verify import (
 
 TREFOIL = "{{3},{4,6,2}}"
 TREFOIL_FLIP = "{{3},{-4,6,2}}"
+K12_MIN = "{{12},{4,8,14,2,-18,16,6,20,22,-24,12,-10}}"
+K12_REP = "{{17},{4,8,14,2,24,32,6,30,26,28,-16,12,34,18,20,22,10}}"
 
 
 def _row(name="K3n1", status="resolved", conway_min="2 1",
@@ -138,6 +144,42 @@ class TestVerifyAll:
         b = verify_all(self._rows())
         for render in (render_text, render_json, render_csv):
             assert render(a) == render(b)
+
+
+class TestFaultContainment:
+    def test_wide_bracket_fails_its_row_only(self, monkeypatch):
+        monkeypatch.setattr(turaev.poly, "_MAX_TABLES", 4)
+        report = verify_all([
+            _row(name="K12n1", dt_min=K12_MIN, dt_rep=K12_REP),
+            _row(name="K3n1", status="open"),
+        ])
+        wide, narrow = report.results
+        assert wide.verdict == "FAILED"
+        assert wide.checks["jones_match_up_to_mirror"] == FAIL
+        assert wide.checks["span_lt_crossing_number"] == FAIL
+        assert wide.checks["genus_min_at_least_1"] == PASS
+        assert wide.jones_min == "" and wide.span is None
+        assert [w.split(" raised ")[0] for w in wide.warnings] == \
+            ["K12n1: jones_min", "K12n1: jones_rep"]
+        assert wide.warnings[0].startswith(
+            "K12n1: jones_min raised BracketTooWide: bracket of a "
+            "12-crossing diagram: ")
+        assert wide.warnings[0].endswith("over the cap of 4")
+        assert narrow.verdict == "OPEN" and narrow.warnings == ()
+        assert narrow.jones_min == "-1*t^-4 + 1*t^-3 + 1*t^-1"
+        assert f"warning: {wide.warnings[0]}\n" in render_text(report)
+
+    def test_impossible_genus_count_fails_its_checks(self, monkeypatch):
+        def impossible(pd):
+            raise ValueError(f"impossible loop counts for n={pd.n}")
+        monkeypatch.setattr(turaev.verify, "turaev_genus", impossible)
+        res = verify_row(_row(dt_rep=TREFOIL))
+        assert res.checks["genus_min_at_least_1"] == FAIL
+        assert res.checks["genus_rep_equals_1"] == FAIL
+        assert res.checks["jones_match_up_to_mirror"] == PASS
+        assert res.warnings == (
+            "K3n1: genus_min raised ValueError: impossible loop counts for n=3",
+            "K3n1: genus_rep raised ValueError: impossible loop counts for n=3")
 
 
 class TestRenderers:
