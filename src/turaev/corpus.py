@@ -129,7 +129,7 @@ def corpus_bytes(source: str | Path | None = None) -> bytes:
     Raises FileNotFoundError naming EMBEDDED_CORPUS when the embedded
     census is not in this checkout.
     """
-    if source is None or source == "embedded":
+    if source is None:
         try:
             return EMBEDDED_CORPUS.read_bytes()
         except FileNotFoundError:
@@ -195,8 +195,7 @@ def load_corpus(source: str | Path | None = None) -> list[CorpusRow]:
     """
     text = corpus_bytes(source).decode("utf-8")
     rows: list[CorpusRow] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip("\n")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         rows.append(_parse_line(lineno, line))

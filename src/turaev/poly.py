@@ -107,8 +107,11 @@ class DisconnectedDiagram(ValueError):
 class LaurentPoly:
     """Finite exponent -> coefficient map with a variable tag.
 
-    Terms are stored sorted by exponent with zero coefficients dropped,
-    so structural equality is exact polynomial equality.
+    A value, not a ring: it has no arithmetic.  ``bracket`` does its
+    arithmetic on packed integers and builds one of these only to read
+    the result out.  Terms are stored sorted by exponent with zero
+    coefficients dropped, so structural equality is exact polynomial
+    equality.
     """
 
     var: str
@@ -120,56 +123,8 @@ class LaurentPoly:
         return LaurentPoly(var, terms)
 
     @staticmethod
-    def zero(var: str) -> LaurentPoly:
-        return LaurentPoly(var, ())
-
-    @staticmethod
     def one(var: str) -> LaurentPoly:
         return LaurentPoly(var, ((0, 1),))
-
-    @staticmethod
-    def monomial(var: str, exp: int, coeff: int = 1) -> LaurentPoly:
-        if coeff == 0:
-            return LaurentPoly(var, ())
-        return LaurentPoly(var, ((exp, coeff),))
-
-    def _need_same_var(self, other: LaurentPoly) -> None:
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var} vs {other.var}")
-
-    def __add__(self, other: LaurentPoly) -> LaurentPoly:
-        self._need_same_var(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, 0) + c
-        return LaurentPoly.from_dict(self.var, acc)
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly(self.var, tuple((e, -c) for e, c in self.terms))
-
-    def __sub__(self, other: LaurentPoly) -> LaurentPoly:
-        return self + (-other)
-
-    def __mul__(self, other: LaurentPoly) -> LaurentPoly:
-        self._need_same_var(other)
-        acc: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = e1 + e2
-                acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly.from_dict(self.var, acc)
-
-    def __pow__(self, k: int) -> LaurentPoly:
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = LaurentPoly.one(self.var)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def mirrored(self) -> LaurentPoly:
         """All exponents negated (t <-> 1/t, A <-> 1/A)."""
@@ -291,8 +246,12 @@ def writhe(pd: PlanarDiagram) -> int:
 
 
 def turaev_genus(pd: PlanarDiagram) -> int:
-    """Genus of the surface spanned between the all-A and all-B states;
-    raises DisconnectedDiagram on a split diagram."""
+    """Genus of the surface spanned between the all-A and all-B states.
+
+    Raises DisconnectedDiagram on a split diagram, and ValueError when
+    the all-A and all-B circle counts give a negative or odd 2 g_T,
+    which no valid diagram does; ``verify_row`` catches both.
+    """
     n = pd.n
     if n == 0:
         return 0

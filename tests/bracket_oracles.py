@@ -1,9 +1,12 @@
 """Slow reference models that ``poly`` is checked against.
 
 Both bracket oracles are exponential in the crossing number and meant
-for diagrams with twelve or so crossings.  Both build the polynomial
-with the ``LaurentPoly`` ring operations and a delta power, not with the
-binomial expansion of delta^k that ``poly.bracket`` uses.
+for diagrams with twelve or so crossings.  Both collect a count per
+(A exponent, circles) pair and pass it to ``_state_sum``, which expands
+each power of delta binomially into exponent -> coefficient terms.
+``poly.bracket`` never expands a power of delta: it packs every partial
+state's weight into one integer (Kronecker substitution) and reads the
+coefficients off its digits.
 
 ``skein_bracket`` is the unmerged form of the contraction.  It shares
 the end pairing ``realize.end_mates`` and the arc splicing with
@@ -15,7 +18,8 @@ states are ever merged.
 ``enumeration_bracket`` sums over all 2^n state strings and counts each
 state's circles with ``loops_oracle``, a circle tracer over (crossing,
 slot) tuples with its own edge maps and smoothing pairs.  It shares
-only ``PlanarDiagram`` and the ``LaurentPoly`` ring with ``poly``.
+only ``PlanarDiagram`` and the ``LaurentPoly`` value type with
+``poly``.
 
 ``frontier_order_oracle`` is the min-frontier rule of
 ``poly._frontier_order`` written as a plain scan: every step counts the
@@ -31,6 +35,7 @@ walks the faces on its own and uses neither ``end_mates`` nor
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 
 from turaev.poly import LaurentPoly
@@ -50,7 +55,6 @@ def skein_bracket(pd: PlanarDiagram) -> LaurentPoly:
     if n == 0:
         return LaurentPoly.one("A")
 
-    delta = LaurentPoly.from_dict("A", {2: -1, -2: -1})
     acc: dict[tuple[int, int], int] = {}  # (A exponent, circles) -> count
 
     def join(arcs: dict, a: int, b: int) -> int:
@@ -83,12 +87,19 @@ def skein_bracket(pd: PlanarDiagram) -> LaurentPoly:
             )
 
     resolve(0, dict(enumerate(end_mates(pd))), 0, 0)
+    return _state_sum(acc)
 
-    out = LaurentPoly.zero("A")
-    for (apow, circles), count in sorted(acc.items()):
-        term = LaurentPoly.monomial("A", apow, count) * delta ** (circles - 1)
-        out = out + term
-    return out
+
+def _state_sum(counts: dict[tuple[int, int], int]) -> LaurentPoly:
+    """Sum of count * A^e * delta^(circles - 1) over ``counts``, keyed
+    (e, circles), with delta^k = (-1)^k sum_j C(k, j) A^(2k - 4j)."""
+    coeffs: dict[int, int] = {}
+    for (e, circles), count in counts.items():
+        k = circles - 1
+        for j in range(k + 1):
+            x = e + 2 * k - 4 * j
+            coeffs[x] = coeffs.get(x, 0) + (-1) ** k * math.comb(k, j) * count
+    return LaurentPoly.from_dict("A", coeffs)
 
 
 def loops_oracle(pd: PlanarDiagram, state: str) -> int:
@@ -134,11 +145,7 @@ def enumeration_bracket(pd: PlanarDiagram) -> LaurentPoly:
     states = Counter()
     for state in map("".join, itertools.product("AB", repeat=pd.n)):
         states[2 * state.count("A") - pd.n, loops_oracle(pd, state)] += 1
-    delta = LaurentPoly.from_dict("A", {2: -1, -2: -1})
-    out = LaurentPoly.zero("A")
-    for (e, loops), k in states.items():
-        out = out + LaurentPoly.monomial("A", e, k) * delta ** (loops - 1)
-    return out
+    return _state_sum(states)
 
 
 def frontier_order_oracle(mate: list[int], n: int) -> list[int]:

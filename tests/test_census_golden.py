@@ -1,11 +1,14 @@
-"""Census rows against the benchmark's golden digests.
+"""Census rows and realization outputs against the benchmark's golden
+digests.
 
-``perfbench/workloads.py`` makes seeded synthetic census rows, and
-``perfbench/golden.json`` holds the digest of every ``verify_row``
-output of the first twelve seed-0 blocks plus the digest of the JSON
-report over the first block.  Any change to a rendered Jones
-polynomial, genus, check value or warning of these rows fails here, in
-tier-1, without a benchmark run.  The benchmark files are only read.
+``perfbench/workloads.py`` makes seeded synthetic census rows and
+realize-scan codes, and ``perfbench/golden.json`` holds the digest of
+every op output of the first twelve seed-0 blocks of each, plus the
+digest of the JSON report over the first census block.  Any change to a
+rendered Jones polynomial, genus, check value or warning of these rows,
+or to the ``NotRealizable`` text or ``format_diagram`` output of these
+codes, fails here, in tier-1, without a benchmark run.  The benchmark
+files are only read.
 """
 
 from __future__ import annotations
@@ -13,7 +16,10 @@ from __future__ import annotations
 import importlib.util
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+from turaev.dt import parse_dt
+from turaev.realize import format_diagram, try_realize
 from turaev.verify import verify_row
 
 _PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -39,3 +45,14 @@ def test_seed0_census_outputs_match_golden_digests():
     assert [wl.digest(wl.census_text(o)) for o in outputs] == golden["ops"]
     assert (wl.census_report_digest(outputs[:per_block])
             == golden["report_first_block"])
+
+
+def test_seed0_realize_outputs_match_golden_digests():
+    wl = _workloads()
+    golden = wl.load_golden()["realize-scan"]["ops"]
+    api = SimpleNamespace(parse_dt=parse_dt, try_realize=try_realize,
+                          format_diagram=format_diagram)
+    outputs = [wl.run_realize(api, item)
+               for b in range(12) for item in wl.realize_block(wl.DEFAULT_SEED, b)]
+    assert len(golden) == 120
+    assert [wl.digest(wl.realize_text(o)) for o in outputs] == golden

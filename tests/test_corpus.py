@@ -117,6 +117,13 @@ class TestLoadCorpus:
         with pytest.raises(CountMismatch, match="unexpected crossing"):
             _load_lines(tmp_path, bad)
 
+    def test_file_named_embedded_is_read(self, tmp_path, monkeypatch):
+        # a path is a path: no source name stands for the packaged census
+        (tmp_path / "embedded").write_text(GOOD + "\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(CountMismatch):
+            load_corpus("embedded")
+
 
 def _mkrow(**kw):
     base = dict(

@@ -159,33 +159,7 @@ class TestLaurentPoly:
     def test_from_dict_drops_zeros(self) -> None:
         p = _poly({3: 0, 1: 2, -2: 0, 0: -1})
         assert p.terms == ((0, -1), (1, 2))
-        assert _poly({}) == LaurentPoly.zero("t")
-
-    def test_additive_and_multiplicative_identities(self) -> None:
-        rng = random.Random(11)
-        for _ in range(20):
-            p = _random_poly(rng)
-            assert p + LaurentPoly.zero("A") == p
-            assert p * LaurentPoly.one("A") == p
-            assert p * LaurentPoly.zero("A") == LaurentPoly.zero("A")
-            assert p - p == LaurentPoly.zero("A")
-
-    def test_ring_laws_on_random_polys(self) -> None:
-        rng = random.Random(12)
-        for _ in range(30):
-            p, q, r = (_random_poly(rng) for _ in range(3))
-            assert p + q == q + p
-            assert p * q == q * p
-            assert (p * q) * r == p * (q * r)
-            assert p * (q + r) == p * q + p * r
-
-    def test_pow(self) -> None:
-        rng = random.Random(13)
-        p = _random_poly(rng)
-        assert p**0 == LaurentPoly.one("A")
-        assert p**3 == p * p * p
-        with pytest.raises(ValueError):
-            p ** (-1)
+        assert _poly({}) == LaurentPoly("t", ())
 
     def test_mirrored_is_an_involution(self) -> None:
         rng = random.Random(14)
@@ -194,24 +168,18 @@ class TestLaurentPoly:
             assert p.mirrored().mirrored() == p
 
     def test_render(self) -> None:
-        assert LaurentPoly.zero("t").render() == "0"
+        assert LaurentPoly("t", ()).render() == "0"
         assert LaurentPoly.one("t").render() == "1*t^0"
-        assert LaurentPoly.monomial("A", -3, -1).render() == "-1*A^-3"
+        assert LaurentPoly("A", ((-3, -1),)).render() == "-1*A^-3"
         p = _poly({-4: -1, -3: 1, -1: 1})
         assert p.render() == "-1*t^-4 + 1*t^-3 + 1*t^-1"
         assert str(p) == p.render()
-
-    def test_variable_mismatch_raises(self) -> None:
-        with pytest.raises(ValueError):
-            LaurentPoly.one("t") + LaurentPoly.one("A")
-        with pytest.raises(ValueError):
-            LaurentPoly.one("t") * LaurentPoly.one("A")
 
     def test_span(self) -> None:
         assert LaurentPoly.one("t").span() == 0
         assert _poly({-4: -1, -1: 1}).span() == 3
         with pytest.raises(ZeroPolynomial):
-            LaurentPoly.zero("t").span()
+            LaurentPoly("t", ()).span()
 
 
 class TestBracket:
@@ -346,7 +314,7 @@ class TestJones:
 
     def test_normalization_failure_on_odd_exponent(self) -> None:
         with pytest.raises(NormalizationFailure):
-            _to_t(LaurentPoly.monomial("A", -6))
+            _to_t(LaurentPoly("A", ((-6, 1),)))
 
 
 class TestSpanAndMirrorComparison:
@@ -355,12 +323,12 @@ class TestSpanAndMirrorComparison:
         with pytest.raises(ValueError):
             span_t(LaurentPoly.one("A"))
         with pytest.raises(ZeroPolynomial):
-            span_t(LaurentPoly.zero("t"))
+            span_t(LaurentPoly("t", ()))
 
     def test_equal_up_to_mirror(self) -> None:
         p = _poly({-4: -1, -3: 1, -1: 1})
         assert equal_up_to_mirror(p, p)
         assert equal_up_to_mirror(p, p.mirrored())
-        assert not equal_up_to_mirror(p, -p)
+        assert not equal_up_to_mirror(p, _poly({-4: 1, -3: -1, -1: -1}))
         with pytest.raises(ValueError):
             equal_up_to_mirror(p, LaurentPoly.one("A"))
