@@ -17,17 +17,19 @@ The bracket is the state sum
 
 computed by contracting the diagram one crossing at a time (Bar-Natan's
 local contraction, in its bracket form).  A partial state is an arc
-table over the ends 4c + s: each live end maps to the other end of its
-arc, and -1 marks an end already smoothed.  Smoothing a crossing either
-closes a circle or splices two arcs.  Partial states with equal arc
-tables are merged, so the cost follows the number of distinct tables
-alive at once rather than 2^n.  Each table keeps one integer: the sum
-of A^(a - b) delta^(circles closed) over its partial states, times
-A^(3n + 2), evaluated at A = 2^(2n + 4) (Kronecker substitution).  An A
-smoothing is a left shift, a B smoothing a right shift, a closed circle
-v -> -(v * A^2 + v / A^2), and merging two tables one addition.  The
-bounds that make every right shift exact and every coefficient one
-base-2^(2n + 4) digit are argued in ``bracket``.
+table over the ends 4c + s, an ``array("I")`` of 4n machine integers:
+each live end maps to the other end of its arc, and an end already
+smoothed maps to itself, which no live end does.  Smoothing a crossing
+either closes a circle or splices two arcs.  Partial states with equal
+arc tables are merged, keyed by the table's bytes, so the cost follows
+the number of distinct tables alive at once rather than 2^n.  Each
+table keeps one integer: the sum of A^(a - b) delta^(circles closed)
+over its partial states, times A^(3n + 2), evaluated at A = 2^(2n + 4)
+(Kronecker substitution).  An A smoothing is a left shift, a B
+smoothing a right shift, a closed circle v -> -(v * A^2 + v / A^2), and
+merging two tables one addition.  The bounds that make every right
+shift exact and every coefficient one base-2^(2n + 4) digit are argued
+in ``bracket``.
 
 That number depends on the order of the crossings, and the bracket does
 not.  The crossings are taken in min-frontier order: crossing 0 first,
@@ -42,11 +44,15 @@ an alternating 4-braid closure took seconds at n = 41 and did not finish
 in minutes at n = 61.  This order peaks at 18 tables on the census
 diagrams and at a few hundred on 4-braid closures up to n = 61.
 
-The polynomial is read off the final integer as signed digits.  Jones
-is the usual writhe normalization V = (-A)^(-3w) <D> rewritten in
-t = A^-4; the exponent division by 4 is asserted, so a convention bug
-anywhere upstream fails loudly instead of producing a quietly wrong
-polynomial.
+The polynomial is read off the final integer as signed digits.  On a
+plane diagram every exponent of the bracket is congruent to the lowest
+one mod 4: for a knot, <D> = (-A^3)^w V(A^-4) puts them all at 3w.  So
+the readout skips the zero digits below the lowest term with one
+shift, then takes one digit in four and checks that the three between
+are zero, raising NormalizationFailure otherwise.  Jones is the usual
+writhe normalization V = (-A)^(-3w) <D> rewritten in t = A^-4; the
+exponent division by 4 is asserted too, so a convention bug anywhere
+upstream fails loudly instead of producing a quietly wrong polynomial.
 
 The Turaev genus of a connected diagram is g_T = (n + 2 - s_A - s_B) / 2,
 with s_A and s_B the circle counts of its all-A and all-B states (Dasbach,
@@ -56,9 +62,10 @@ exactly on diagrams built from alternating pieces.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
-from .realize import PlanarDiagram, end_mates, orbit_count
+from .realize import PlanarDiagram, orbit_count
 
 __all__ = [
     "LaurentPoly",
@@ -145,10 +152,10 @@ class LaurentPoly:
         return self.render()
 
 
-def _connected_mates(pd: PlanarDiagram) -> list[int]:
-    """``end_mates(pd)`` for ``pd.n >= 1``; raises DisconnectedDiagram
-    when the 4-valent graph of ``pd`` has more than one component."""
-    mate = end_mates(pd)
+def _connected_mates(pd: PlanarDiagram) -> tuple[int, ...]:
+    """``pd.mates`` for ``pd.n >= 1``; raises DisconnectedDiagram when
+    the 4-valent graph of ``pd`` has more than one component."""
+    mate = pd.mates
     seen = {0}
     stack = [0]
     while stack:
@@ -163,7 +170,7 @@ def _connected_mates(pd: PlanarDiagram) -> list[int]:
     return mate
 
 
-def _frontier_order(mate: list[int], n: int) -> list[int]:
+def _frontier_order(mate: tuple[int, ...], n: int) -> list[int]:
     """Crossing 0, then repeatedly the uncontracted crossing with the
     most ends mated to contracted ones, ties to the lowest index."""
     score: dict[int, int] = {}  # frontier crossing -> 4n * joined ends - index
@@ -185,8 +192,9 @@ def bracket(pd: PlanarDiagram) -> LaurentPoly:
     """Kauffman bracket by contracting one crossing at a time, variable A.
 
     Crossings are contracted in ``_frontier_order``.  Raises
-    DisconnectedDiagram on a split diagram and BracketTooWide when a
-    layer exceeds ``_MAX_TABLES`` arc tables.
+    DisconnectedDiagram on a split diagram, BracketTooWide when a layer
+    exceeds ``_MAX_TABLES`` arc tables, and NormalizationFailure when
+    two exponents differ mod 4, which no plane diagram gives.
     """
     n = pd.n
     if n == 0:
@@ -200,28 +208,28 @@ def bracket(pd: PlanarDiagram) -> LaurentPoly:
     # digits, and a bracket coefficient, at most 2^n states times 2^n, is
     # below 2^(w - 1), one signed base-2^w digit.
     w, w2, off = 2 * n + 4, 4 * n + 8, 3 * n + 2
-    layer = {tuple(mate): 1 << (w * off)}
+    layer = {array("I", mate).tobytes(): 1 << (w * off)}
     for step, c in enumerate(_frontier_order(mate, n)):
         e0, e1, e2, e3 = range(4 * c, 4 * c + 4)
-        merged: dict[tuple[int, ...], int] = {}
+        merged: dict[bytes, int] = {}
         for arcs, weight in layer.items():
             # A joins (e0, e1) and (e2, e3), B joins (e0, e3) and (e1, e2)
             for v, x0, y0, x1, y1 in ((weight << w, e0, e1, e2, e3),
                                       (weight >> w, e0, e3, e1, e2)):
-                arc = list(arcs)
+                arc = array("I", arcs)
                 if arc[x0] == y0:  # a circle closes: times delta
                     v = -((v << w2) + (v >> w2))
                 else:
                     u, t = arc[x0], arc[y0]
                     arc[u], arc[t] = t, u
-                arc[x0] = arc[y0] = -1
+                arc[x0], arc[y0] = x0, y0  # smoothed ends point at themselves
                 if arc[x1] != y1:
                     u, t = arc[x1], arc[y1]
                     arc[u], arc[t] = t, u
                 elif step < n - 1:  # last step: the unweighted circle
                     v = -((v << w2) + (v >> w2))
-                arc[x1] = arc[y1] = -1
-                key = tuple(arc)
+                arc[x1], arc[y1] = x1, y1
+                key = arc.tobytes()
                 merged[key] = merged.get(key, 0) + v
         if len(merged) > _MAX_TABLES:
             raise BracketTooWide(
@@ -230,13 +238,28 @@ def bracket(pd: PlanarDiagram) -> LaurentPoly:
             )
         layer = merged
     (total,) = layer.values()
+    # On a plane diagram, switching one smoothing changes a - b by 2 and
+    # the circle count by 1, so every exponent is congruent to the lowest
+    # one mod 4: past the zero digits below the lowest term, each term is
+    # followed by three zero digits.  The lowest term is below 2^(w - 1),
+    # so its trailing zero bits end inside its own digit.
+    zeros = (total & -total).bit_length() // w
+    total >>= w * zeros
+    half, full, low4 = 1 << (w - 1), (1 << w) - 1, (1 << 4 * w) - 1
     coeffs: dict[int, int] = {}
-    e = -off
-    while total:  # signed base-2^w digits, lowest first
-        digit = ((total + (1 << w - 1)) & ((1 << w) - 1)) - (1 << w - 1)
+    e = zeros - off
+    while total:  # signed base-2^w digits, lowest first, four at a time
+        digit = ((total + half) & full) - half
         coeffs[e] = digit
-        total = (total - digit) >> w
-        e += 1
+        total -= digit
+        if total & low4:
+            skew = ((total & -total).bit_length() - 1) // w
+            raise NormalizationFailure(
+                f"bracket of a {n}-crossing diagram has exponents {e} and "
+                f"{e + skew}, which differ mod 4"
+            )
+        total >>= 4 * w
+        e += 4
     return LaurentPoly.from_dict("A", coeffs)
 
 

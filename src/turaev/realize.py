@@ -36,7 +36,9 @@ every candidate falls short and the code is rejected.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dt import DtCode
 
@@ -75,6 +77,15 @@ class Crossing:
 class PlanarDiagram:
     crossings: tuple[Crossing, ...]
 
+    @cached_property
+    def mates(self) -> tuple[int, ...]:
+        """``end_mates(self)``, built once per diagram.
+
+        Stored on the instance, not as a field, so ``==`` and ``hash``
+        still see only ``crossings``.
+        """
+        return tuple(end_mates(self))
+
     @property
     def n(self) -> int:
         return len(self.crossings)
@@ -96,35 +107,45 @@ def _orientation_bits(code: DtCode) -> list[int]:
     """One orientation bit per crossing, read off the interlacement graph.
 
     Each component, taken in ascending order of its lowest crossing,
-    gets bit 0 at that crossing.  Along each DFS tree edge u -> v the
-    bit of v follows by Rosenstiehl's rule, flipped when u and v share
-    an even number of neighbours and once more for each negative label
-    of the two.  Non-tree edges are not checked: the face count in
-    ``realize`` decides.
+    gets bit 0 at that crossing.  Along each edge u -> v of a spanning
+    tree the bit of v follows by Rosenstiehl's rule, flipped when u and
+    v share an even number of neighbours and once more for each
+    negative label of the two.  Non-tree edges are not checked: the
+    face count in ``realize`` decides.
+
+    The graph is held as bitmasks.  Chord i's passes are lo < hi, and
+    the chords crossing it are those met an odd number of times strictly
+    between them, the XOR of the passes lo + 1 .. hi - 1.  The walk
+    claims every unvisited neighbour of a crossing at once.
     """
     n = code.n
-    chords = [sorted((2 * i + 1, abs(a))) for i, a in enumerate(code.labels)]
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for i, (a0, a1) in enumerate(chords):
-        for j in range(i + 1, n):
-            b0, b1 = chords[j]
-            if (a0 < b0 < a1) != (a0 < b1 < a1):
-                nbrs[i].add(j)
-                nbrs[j].add(i)
+    at = [0] * (2 * n + 1)  # pass -> bit of its crossing, passes 1..2n
+    for i, a in enumerate(code.labels):
+        at[2 * i + 1] = at[abs(a)] = 1 << i
+    seen = [0] * (2 * n + 1)  # seen[t]: XOR of passes 1 .. t - 1
+    for t in range(1, 2 * n):
+        seen[t + 1] = seen[t] ^ at[t]
+    nbrs = []
+    for i, a in enumerate(code.labels):
+        lo, hi = sorted((2 * i + 1, abs(a)))
+        nbrs.append(seen[hi] ^ seen[lo + 1])
     neg = [a < 0 for a in code.labels]
-    bits: list[int | None] = [None] * n
-    for root in range(n):
-        if bits[root] is not None:
-            continue
-        bits[root] = 0
+    bits = [0] * n
+    todo = (1 << n) - 1
+    while todo:
+        root = (todo & -todo).bit_length() - 1
+        todo ^= 1 << root
         stack = [root]
         while stack:
             u = stack.pop()
-            for v in nbrs[u]:
-                if bits[v] is None:
-                    even = len(nbrs[u] & nbrs[v]) % 2 == 0
-                    bits[v] = bits[u] ^ neg[u] ^ neg[v] ^ even
-                    stack.append(v)
+            new = nbrs[u] & todo
+            todo ^= new
+            while new:
+                v = (new & -new).bit_length() - 1
+                new ^= 1 << v
+                even = not (nbrs[u] & nbrs[v]).bit_count() & 1
+                bits[v] = bits[u] ^ neg[u] ^ neg[v] ^ even
+                stack.append(v)
     return bits
 
 
@@ -173,7 +194,8 @@ def end_mates(pd: PlanarDiagram) -> list[int]:
     """Involution pairing the two ends of each edge.
 
     Ends are numbered 4 * crossing + slot.  mate[arrival end] is the
-    matching departure end and vice versa.
+    matching departure end and vice versa.  ``PlanarDiagram.mates`` keeps
+    one per diagram.
     """
     # edge number -> its arrival (departure) end; an edge missing from a
     # malformed diagram stays None and fails below instead of pairing end 0
@@ -190,7 +212,7 @@ def end_mates(pd: PlanarDiagram) -> list[int]:
     return mate
 
 
-def orbit_count(mate: list[int], turn: list[int]) -> int:
+def orbit_count(mate: Sequence[int], turn: list[int]) -> int:
     """Number of orbits of ``e -> turn[mate[e]]`` on the ends 0..len(mate)-1.
 
     ``mate`` pairs the two ends of each edge and ``turn`` says where a
@@ -222,7 +244,7 @@ def face_count(pd: PlanarDiagram) -> int:
         return 2
     # the next slot counterclockwise at the same crossing
     turn = [(e & ~3) | ((e + 1) & 3) for e in range(4 * pd.n)]
-    return orbit_count(end_mates(pd), turn)
+    return orbit_count(pd.mates, turn)
 
 
 def validate_diagram(pd: PlanarDiagram) -> None:

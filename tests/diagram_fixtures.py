@@ -15,6 +15,10 @@ can be checked against a diagram it did not build.
 
 ``switch_crossing`` and ``mirror`` exchange over and under strands at
 one crossing or at all of them.
+
+``interlacement_bits_oracle`` is the orientation-bit rule of
+``realize._orientation_bits`` written over sets: every pair of chords
+compared once, and a depth-first walk one neighbour at a time.
 """
 
 from __future__ import annotations
@@ -159,3 +163,37 @@ def switch_crossing(pd: PlanarDiagram, i: int) -> PlanarDiagram:
 def mirror(pd: PlanarDiagram) -> PlanarDiagram:
     """The mirror diagram: every crossing switched."""
     return PlanarDiagram(tuple(_switched(cr) for cr in pd.crossings))
+
+
+def interlacement_bits_oracle(code: DtCode) -> list[int]:
+    """Orientation bits by Rosenstiehl's rule on an explicit graph.
+
+    Chords (2i + 1, |a_i|) interlace when exactly one end of one lies
+    strictly inside the other.  Each component's lowest crossing gets
+    bit 0, and along each tree edge u -> v the bit flips when u and v
+    share an even number of neighbours and once per negative label.
+    """
+    n = code.n
+    chords = [sorted((2 * i + 1, abs(a))) for i, a in enumerate(code.labels)]
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for i, (a0, a1) in enumerate(chords):
+        for j in range(i + 1, n):
+            b0, b1 = chords[j]
+            if (a0 < b0 < a1) != (a0 < b1 < a1):
+                nbrs[i].add(j)
+                nbrs[j].add(i)
+    neg = [a < 0 for a in code.labels]
+    bits: list[int | None] = [None] * n
+    for root in range(n):
+        if bits[root] is not None:
+            continue
+        bits[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in nbrs[u]:
+                if bits[v] is None:
+                    even = len(nbrs[u] & nbrs[v]) % 2 == 0
+                    bits[v] = bits[u] ^ neg[u] ^ neg[v] ^ even
+                    stack.append(v)
+    return bits

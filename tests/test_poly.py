@@ -15,17 +15,20 @@ values pin the conventions: the canonical kink realization brackets to
 -t^-4 + t^-3 + t^-1 up to mirror with span 3.
 On diagrams up to 17 crossings and on the long braid closures below,
 every Jones polynomial satisfies V(1) = 1, V(e^(2 pi i/3)) = 1 and
-span V <= n - g_T(D), and |V(-1)| equals the determinant of the
-Goeritz matrix.  That matrix comes from a face walk and checkerboard
-colouring that share no code with the state sums, so the check ties
-the polynomial layer to a second model of the same diagram.  Shuffling
-the crossing storage sends the contraction through a different order
-and must not change the bracket.  Closed alternating 4-braids at
-n = 41 and 61, stored in DT order, check Kauffman-Murasugi-Thistlethwaite
-(span V = n on a reduced alternating diagram) at a size where storage
-order blows up, and ``realize`` rebuilds each of them, and its
-one-crossing switch, from the DT code alone with the same bracket up
-to mirror.
+span V <= n - g_T(D), |V(-1)| equals the determinant of the Goeritz
+matrix, and V(i) is -1 exactly when that determinant is 3 or 5 mod 8
+(the Arf invariant).  That matrix comes from a face walk and
+checkerboard colouring that share no code with the state sums, so the
+check ties the polynomial layer to a second model of the same
+diagram.  Shuffling the crossing storage sends the contraction through
+a different order and must not change the bracket.  Closed alternating
+4-braids at n = 41, 61 and 81, stored in DT order, check
+Kauffman-Murasugi-Thistlethwaite (span V = n on a reduced alternating
+diagram) at a size where storage order blows up, and ``realize``
+rebuilds each of them, and its one-crossing switch, from the DT code
+alone with the same bracket up to mirror.  At n = 81 the 324 ends no
+longer fit in one byte each, so the bracket has no crossing cap of
+that kind.
 """
 
 from __future__ import annotations
@@ -105,19 +108,27 @@ def _random_diagrams(seed: int, count: int, max_n: int) -> list[PlanarDiagram]:
 
 
 def _assert_knot_values(pd: PlanarDiagram, v: LaurentPoly) -> None:
-    """V(1) = 1, V(omega) = 1 for omega = e^(2 pi i/3), and |V(-1)| is
-    the Goeritz determinant of ``pd``.
+    """V(1) = 1, V(omega) = 1 for omega = e^(2 pi i/3), |V(-1)| is the
+    Goeritz determinant of ``pd``, and V(i) = (-1)^Arf.
 
     Exact in Z[omega]: with a_r the sum of the coefficients whose
     exponent is r mod 3, omega^2 = -1 - omega gives
-    V(omega) = (a_0 - a_2) + (a_1 - a_2) omega.
+    V(omega) = (a_0 - a_2) + (a_1 - a_2) omega.  Exact in Z[i]: with b_r
+    the sums by exponent mod 4, V(i) = (b_0 - b_2) + (b_1 - b_3) i.  The
+    Arf invariant is 0 exactly when the determinant is +-1 mod 8
+    (H. Murakami; Levine), which ties V(i) to the Goeritz matrix too.
     """
     assert sum(c for _, c in v.terms) == 1
     a = [0, 0, 0]
     for e, c in v.terms:
         a[e % 3] += c
     assert a[1] == a[2] and a[0] - a[2] == 1
-    assert abs(sum(-c if e % 2 else c for e, c in v.terms)) == goeritz_determinant(pd)
+    det = goeritz_determinant(pd)
+    assert abs(sum(-c if e % 2 else c for e, c in v.terms)) == det
+    b = [0, 0, 0, 0]
+    for e, c in v.terms:
+        b[e % 4] += c
+    assert b[1] == b[3] and b[0] - b[2] == (1 if det % 8 in (1, 7) else -1)
 
 
 def _alternating_braid(seed: int, n: int) -> PlanarDiagram:
@@ -229,6 +240,19 @@ class TestBracket:
         with pytest.raises(BracketTooWide, match="12-crossing.*step [0-9]+.*cap of 4"):
             bracket(pd)
 
+    def test_readout_rejects_mixed_residues(self) -> None:
+        # The Gauss word O1 O2 U1 U2 (the virtual trefoil) embeds only in
+        # the torus.  Its state sum -A^4 + 1 + A^-2 has exponents of two
+        # residues mod 4, which no plane diagram has; jones rejected it
+        # before the readout checked residues, and still does.
+        pd = PlanarDiagram((Crossing((2, 4, 3, 1), 1), Crossing((3, 1, 4, 2), 1)))
+        validate_diagram(pd)
+        assert face_count(pd) == pd.n
+        with pytest.raises(NormalizationFailure, match="exponents -2 and 0"):
+            bracket(pd)
+        with pytest.raises(NormalizationFailure):
+            jones(pd)
+
     def test_disconnected_rejected(self) -> None:
         kink = realize(parse_dt(KINK)).crossings[0]
         far = Crossing(tuple(e + 2 for e in kink.slots), kink.over_in_slot)
@@ -284,7 +308,7 @@ class TestJones:
             _assert_knot_values(pd, v)
             assert span_t(v) <= pd.n - turaev_genus(pd)
 
-    @pytest.mark.parametrize("n", [41, 61])
+    @pytest.mark.parametrize("n", [41, 61, 81])
     def test_long_alternating_braid_closure(self, n: int) -> None:
         pd = _alternating_braid(n, n)
         validate_diagram(pd)

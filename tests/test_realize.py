@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import permutations, product
 
@@ -10,6 +11,8 @@ from turaev.realize import (
     Crossing,
     NotRealizable,
     PlanarDiagram,
+    _assemble,
+    end_mates,
     face_count,
     format_diagram,
     realize,
@@ -17,7 +20,7 @@ from turaev.realize import (
     validate_diagram,
 )
 
-from diagram_fixtures import braid_closure_diagram, dt_of
+from diagram_fixtures import braid_closure_diagram, dt_of, interlacement_bits_oracle
 
 TREFOIL = parse_dt("{{3},{4,6,2}}")
 KINK = parse_dt("{{1},{2}}")
@@ -63,13 +66,13 @@ def _first_embedding_bits(code: DtCode) -> tuple[int, ...] | None:
     return None
 
 
-def _braid_codes(seed: int, count: int) -> list[DtCode]:
-    """Codes of seeded braid closures with n = 7..12, every second one
-    read with the traversal started an even number of passes later."""
+def _braid_codes(seed: int, count: int, low: int, high: int) -> list[DtCode]:
+    """Codes of seeded braid closures with n = low..high, every second
+    one read with the traversal started an even number of passes later."""
     rng = random.Random(seed)
     codes: list[DtCode] = []
     while len(codes) < count:
-        n = rng.randint(7, 12)
+        n = rng.randint(low, high)
         gens = (1, 2, 3) if n % 2 else (1, 2)
         try:
             pd = braid_closure_diagram([rng.choice(gens) * rng.choice((1, -1)) for _ in range(n)])
@@ -141,7 +144,7 @@ def test_exhaustive_small_codes_against_full_enumeration() -> None:
         for perm in permutations(range(2, 2 * n + 1, 2))
     ]
     witnesses = []
-    for code in codes + _braid_codes(34, 20):
+    for code in codes + _braid_codes(34, 20, 7, 12):
         result = try_realize(code)
         bits = _first_embedding_bits(code)
         if result.diagram is None:
@@ -154,6 +157,38 @@ def test_exhaustive_small_codes_against_full_enumeration() -> None:
     assert witnesses, "expected some non-realizable code with n <= 6"
     with pytest.raises(NotRealizable):
         realize(witnesses[0])
+
+
+def test_bits_match_the_interlacement_oracle() -> None:
+    # Seeded codes with n = 13..41, beyond the reach of the enumeration
+    # oracle: braid codes, every second one rebased, and random signed
+    # permutations, nearly all of which have no plane curve.  A code is
+    # accepted exactly when the oracle's bits embed it, and then with
+    # exactly those bits.
+    rng = random.Random(35)
+    randoms = []
+    for _ in range(150):
+        n = rng.randint(13, 41)
+        mags = rng.sample(range(2, 2 * n + 1, 2), n)
+        randoms.append(DtCode(n, tuple(a if rng.random() < 0.5 else -a for a in mags)))
+    accepted = 0
+    for code in _braid_codes(36, 150, 13, 41) + randoms:
+        oracle = _assemble(code, interlacement_bits_oracle(code))
+        result = try_realize(code)
+        assert (result.diagram is not None) == (face_count(oracle) == code.n + 2), code
+        if result.diagram is not None:
+            assert result.diagram == oracle, code
+            accepted += 1
+    assert 150 <= accepted < 300
+
+
+def test_mates_is_the_end_pairing_built_once() -> None:
+    pd = realize(TWELVE_REP)
+    assert pd.mates == tuple(end_mates(pd))
+    assert pd.mates is pd.mates
+    fresh = realize(TWELVE_REP)
+    assert pd == fresh and hash(pd) == hash(fresh)
+    assert [f.name for f in dataclasses.fields(PlanarDiagram)] == ["crossings"]
 
 
 def test_signs_do_not_affect_realizability() -> None:
