@@ -58,6 +58,11 @@ The Turaev genus of a connected diagram is g_T = (n + 2 - s_A - s_B) / 2,
 with s_A and s_B the circle counts of its all-A and all-B states (Dasbach,
 Futer, Kalfagianni, Lin and Stoltzfus, arXiv math/0605571).  It is 0
 exactly on diagrams built from alternating pieces.
+
+Both invariants read the end pairing ``pd.mates``, so both first pass
+the one structural check, ``realize.end_mates``: a diagram that is not
+one closed strand through every crossing, and so a split one, raises
+ValueError there.
 """
 
 from __future__ import annotations
@@ -72,7 +77,6 @@ __all__ = [
     "ZeroPolynomial",
     "NormalizationFailure",
     "BracketTooWide",
-    "DisconnectedDiagram",
     "bracket",
     "jones",
     "writhe",
@@ -104,10 +108,6 @@ class BracketTooWide(ValueError):
 _MAX_TABLES = 1 << 16
 
 _A_FLIP, _B_FLIP = 1, 3  # a smoothing joins end 4c + s to 4c + (s ^ flip)
-
-
-class DisconnectedDiagram(ValueError):
-    """Operation requires a connected diagram."""
 
 
 @dataclass(frozen=True)
@@ -152,24 +152,6 @@ class LaurentPoly:
         return self.render()
 
 
-def _connected_mates(pd: PlanarDiagram) -> tuple[int, ...]:
-    """``pd.mates`` for ``pd.n >= 1``; raises DisconnectedDiagram when
-    the 4-valent graph of ``pd`` has more than one component."""
-    mate = pd.mates
-    seen = {0}
-    stack = [0]
-    while stack:
-        c = stack.pop()
-        for e in range(4 * c, 4 * c + 4):
-            nb = mate[e] // 4
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if len(seen) != pd.n:
-        raise DisconnectedDiagram("state sums need a connected diagram")
-    return mate
-
-
 def _frontier_order(mate: tuple[int, ...], n: int) -> list[int]:
     """Crossing 0, then repeatedly the uncontracted crossing with the
     most ends mated to contracted ones, ties to the lowest index."""
@@ -192,18 +174,20 @@ def bracket(pd: PlanarDiagram) -> LaurentPoly:
     """Kauffman bracket by contracting one crossing at a time, variable A.
 
     Crossings are contracted in ``_frontier_order``.  Raises
-    DisconnectedDiagram on a split diagram, BracketTooWide when a layer
-    exceeds ``_MAX_TABLES`` arc tables, and NormalizationFailure when
-    two exponents differ mod 4, which no plane diagram gives.
+    ValueError from ``end_mates`` unless the diagram is one closed
+    strand, BracketTooWide when a layer exceeds ``_MAX_TABLES`` arc
+    tables, and NormalizationFailure when two exponents differ mod 4,
+    which no plane diagram gives.
     """
     n = pd.n
     if n == 0:
         return LaurentPoly.one("A")
-    mate = _connected_mates(pd)
+    mate = pd.mates
     # A table's weight is A^off * sum A^(a - b) delta^(closed) over its
-    # partial states, evaluated at A = 2^w.  The state graph is connected,
-    # one vertex per circle and one edge per crossing, so a state has at
-    # most n + 1 circles, and the last is never weighted.  So exponents
+    # partial states, evaluated at A = 2^w.  ``end_mates`` has checked
+    # that the diagram is one closed strand, so the state graph, one
+    # vertex per circle and one edge per crossing, is connected: a state
+    # has at most n + 1 circles, and the last is never weighted.  So exponents
     # stay within n + 2n: the right shifts (A^-1, A^-2) drop only zero
     # digits, and a bracket coefficient, at most 2^n states times 2^n, is
     # below 2^(w - 1), one signed base-2^w digit.
@@ -271,14 +255,15 @@ def writhe(pd: PlanarDiagram) -> int:
 def turaev_genus(pd: PlanarDiagram) -> int:
     """Genus of the surface spanned between the all-A and all-B states.
 
-    Raises DisconnectedDiagram on a split diagram, and ValueError when
-    the all-A and all-B circle counts give a negative or odd 2 g_T,
-    which no valid diagram does; ``verify_row`` catches both.
+    Raises ValueError from ``end_mates`` unless the diagram is one
+    closed strand, and when the all-A and all-B circle counts give a
+    negative or odd 2 g_T, which no plane diagram does; ``verify_row``
+    catches both.
     """
     n = pd.n
     if n == 0:
         return 0
-    mate = _connected_mates(pd)
+    mate = pd.mates
     # every circle is traced twice, once per direction (see orbit_count)
     s_a, s_b = (orbit_count(mate, [e ^ flip for e in range(4 * n)]) // 2
                 for flip in (_A_FLIP, _B_FLIP))

@@ -196,17 +196,36 @@ def end_mates(pd: PlanarDiagram) -> list[int]:
     Ends are numbered 4 * crossing + slot.  mate[arrival end] is the
     matching departure end and vice versa.  ``PlanarDiagram.mates`` keeps
     one per diagram.
+
+    This is the one structural check of a diagram, and it reads only the
+    2n arrival slots, 0 and ``over_in_slot``.  It raises ValueError
+    unless ``over_in_slot`` is 1 or 3, every edge 1..2n arrives exactly
+    once, and slot s ^ 2 opposite each arrival slot s carries the next
+    edge, e % 2n + 1.  Then edge k departs from the end opposite edge
+    k - 1's arrival, and the edges run 1..2n along one closed strand
+    through every crossing, so the diagram is connected.
     """
-    # edge number -> its arrival (departure) end; an edge missing from a
-    # malformed diagram stays None and fails below instead of pairing end 0
-    arrive: list[int | None] = [None] * (pd.n_edges + 1)
-    depart: list[int | None] = [None] * (pd.n_edges + 1)
+    two_n = pd.n_edges
+    arrive = [-1] * two_n  # arrive[k - 1]: the arrival end of edge k
     for c, cr in enumerate(pd.crossings):
-        for s, e in enumerate(cr.slots):
-            side = arrive if s in (0, cr.over_in_slot) else depart
-            side[e] = 4 * c + s
-    mate = [0] * (4 * pd.n)
-    for a, d in zip(arrive[1:], depart[1:]):
+        slots, over = cr.slots, cr.over_in_slot
+        if over not in (1, 3):
+            raise ValueError(f"crossing {c}: over_in_slot must be 1 or 3")
+        for s in (0, over):
+            e = slots[s]
+            if not 1 <= e <= two_n:
+                raise ValueError(f"crossing {c}: edge {e} outside 1..{two_n}")
+            if arrive[e - 1] >= 0:
+                raise ValueError(f"edge {e} arrives twice")
+            if slots[s ^ 2] != e % two_n + 1:
+                raise ValueError(
+                    f"crossing {c}: edge {e} arrives at slot {s}, but slot "
+                    f"{s ^ 2} carries {slots[s ^ 2]}, not {e % two_n + 1}"
+                )
+            arrive[e - 1] = 4 * c + s
+    mate = [0] * (2 * two_n)
+    for k, a in enumerate(arrive):  # edge k + 1 leaves opposite edge k (2n if k = 0)
+        d = arrive[k - 1] ^ 2
         mate[a] = d
         mate[d] = a
     return mate
@@ -239,7 +258,10 @@ def orbit_count(mate: Sequence[int], turn: list[int]) -> int:
 
 
 def face_count(pd: PlanarDiagram) -> int:
-    """Number of faces of the rotation system (n + 2 exactly on a sphere)."""
+    """Number of faces of the rotation system (n + 2 exactly on a sphere).
+
+    Reads ``pd.mates``, so ``end_mates`` rejects a malformed diagram first.
+    """
     if pd.n == 0:
         return 2
     # the next slot counterclockwise at the same crossing
@@ -248,37 +270,15 @@ def face_count(pd: PlanarDiagram) -> int:
 
 
 def validate_diagram(pd: PlanarDiagram) -> None:
-    """Check structural soundness, raising ValueError on violation.
+    """Raise ValueError unless ``pd`` is a plane knot diagram.
 
-    Each edge 1..2n must appear once as arrival and once as departure,
-    and edge k's head must sit at the crossing that edge k+1 leaves,
-    on the same strand (both under, or both over).
+    ``end_mates`` checks that the edges run along one closed strand;
+    the rotation system must then have n + 2 faces, the Euler count of
+    the sphere.
     """
-    two_n = pd.n_edges
-    arrive: dict[int, tuple[int, int]] = {}
-    depart: dict[int, tuple[int, int]] = {}
-    for c, cr in enumerate(pd.crossings):
-        if cr.over_in_slot not in (1, 3):
-            raise ValueError(f"crossing {c}: over_in_slot must be 1 or 3")
-        in_slots = (0, cr.over_in_slot)
-        for s, e in enumerate(cr.slots):
-            if not 1 <= e <= two_n:
-                raise ValueError(f"crossing {c}: edge {e} outside 1..{two_n}")
-            side = arrive if s in in_slots else depart
-            if e in side:
-                raise ValueError(f"edge {e} appears twice on the same side")
-            side[e] = (c, s)
-    if len(arrive) != two_n or len(depart) != two_n:
-        raise ValueError("each edge must arrive once and depart once")
-    for e in range(1, two_n + 1):
-        nxt = e % two_n + 1
-        ca, sa = arrive[e]
-        cd, sd = depart[nxt]
-        if ca != cd:
-            raise ValueError(f"edge {e} arrives at crossing {ca} but edge {nxt} departs crossing {cd}")
-        under_slots = {0, 2}
-        if ({sa, sd} != under_slots) and ({sa, sd} != {1, 3}):
-            raise ValueError(f"edges {e},{nxt} do not pass straight through crossing {ca}")
+    faces = face_count(pd)
+    if faces != pd.n + 2:
+        raise ValueError(f"{faces} faces, not {pd.n + 2}: the diagram is not plane")
 
 
 def format_diagram(pd: PlanarDiagram) -> str:

@@ -17,10 +17,11 @@ rows whose conway_check is "anomalous" downgrade to warnings: the row
 stays visible without masking the DT-level result.
 
 A stage that raises one of its known errors (``jones``: BracketTooWide,
-DisconnectedDiagram, NormalizationFailure; ``turaev_genus``: an
-impossible circle count) fails the checks it feeds, and the row gets a
-warning "<row>: <stage> raised <Type>: <message>"; the other rows still
-run.
+NormalizationFailure; ``turaev_genus``: an impossible circle count)
+fails the checks it feeds, and the row gets a warning "<row>: <stage>
+raised <Type>: <message>"; the other rows still run.  Every diagram
+comes from ``realize``, so it has already passed ``end_mates``, the one
+structural check of a diagram.
 
 Rendered report bodies (text, JSON, CSV) exclude the wall-clock
 duration, so two runs over the same corpus are byte identical.
@@ -37,7 +38,6 @@ from .corpus import CorpusRow
 from .dt import SignKind, classify_signs
 from .poly import (
     BracketTooWide,
-    DisconnectedDiagram,
     NormalizationFailure,
     equal_up_to_mirror,
     jones,
@@ -121,7 +121,7 @@ def _check_substitutions(row: CorpusRow) -> tuple[str, tuple[str, ...]]:
     return FAIL, ()
 
 
-_JONES_ERRORS = (BracketTooWide, DisconnectedDiagram, NormalizationFailure)
+_JONES_ERRORS = (BracketTooWide, NormalizationFailure)
 
 
 def _stage(row: CorpusRow, stage: str, fn, errors, pd, warnings: list[str]):

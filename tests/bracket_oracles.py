@@ -9,11 +9,12 @@ state's weight into one integer (Kronecker substitution) and reads the
 coefficients off its digits.
 
 ``skein_bracket`` is the unmerged form of the contraction.  It shares
-the end pairing ``realize.end_mates`` and the arc splicing with
-``poly.bracket``, and nothing else: it resolves crossings in storage
-order rather than min-frontier order, writes its own smoothing pairs,
-and follows every branch on its own to a full state, so no two partial
-states are ever merged.
+the arc splicing with ``poly.bracket`` and nothing else: it takes its
+end pairing from ``end_mates_oracle``, which builds its own arrival and
+departure maps, resolves crossings in storage order rather than
+min-frontier order, writes its own smoothing pairs, and follows every
+branch on its own to a full state, so no two partial states are ever
+merged.
 
 ``enumeration_bracket`` sums over all 2^n state strings and counts each
 state's circles with ``loops_oracle``, a circle tracer over (crossing,
@@ -27,9 +28,10 @@ joined ends of every uncontracted crossing and takes the largest count,
 ties to the lowest index.
 
 ``goeritz_determinant`` is the knot determinant from a second model of
-the diagram, the Goeritz matrix of its checkerboard colouring.  It
-walks the faces on its own and uses neither ``end_mates`` nor
-``orbit_count``.
+the diagram, the Goeritz matrix of its checkerboard colouring, and
+``goeritz_signature`` is the knot signature from the same matrix
+(Gordon and Litherland).  They walk the faces on their own and use
+neither ``end_mates`` nor ``orbit_count``.
 """
 
 from __future__ import annotations
@@ -37,9 +39,11 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
+from diagram_fixtures import end_mates_oracle
 from turaev.poly import LaurentPoly
-from turaev.realize import PlanarDiagram, end_mates
+from turaev.realize import PlanarDiagram
 
 
 def skein_bracket(pd: PlanarDiagram) -> LaurentPoly:
@@ -86,7 +90,7 @@ def skein_bracket(pd: PlanarDiagram) -> LaurentPoly:
                 circles + closed,
             )
 
-    resolve(0, dict(enumerate(end_mates(pd))), 0, 0)
+    resolve(0, dict(enumerate(end_mates_oracle(pd))), 0, 0)
     return _state_sum(acc)
 
 
@@ -182,16 +186,53 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return sign * m[-1][-1] if size else 1
 
 
-def goeritz_determinant(pd: PlanarDiagram) -> int:
-    """|det G'| for the Goeritz matrix G of the checkerboard colouring.
+def _signature(m: list[list[int]]) -> int:
+    """Signature of a symmetric integer matrix, by exact congruence.
+
+    Each step takes a nonzero diagonal pivot, first making one by a
+    symmetric row and column swap, or by adding row and column j to row
+    and column k when every remaining diagonal entry is zero, and then
+    passes to the Schur complement.  Sylvester's law of inertia makes
+    the signature the number of positive pivots minus the negative ones.
+    """
+    m = [[Fraction(x) for x in row] for row in m]
+    size, sig = len(m), 0
+    for k in range(size):
+        if m[k][k] == 0:
+            j = next((j for j in range(k + 1, size) if m[j][j]), None)
+            if j is not None:
+                m[k], m[j] = m[j], m[k]
+                for row in m:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = next((j for j in range(k + 1, size) if m[k][j]), None)
+                if j is None:  # row k is zero: a null direction
+                    continue
+                for i in range(k, size):  # m[k][k] becomes 2 m[k][j]
+                    m[k][i] += m[j][i]
+                for i in range(k, size):
+                    m[i][k] += m[i][j]
+        p = m[k][k]
+        sig += 1 if p > 0 else -1
+        for i in range(k + 1, size):
+            f = m[i][k] / p
+            if f:
+                for j in range(k, size):
+                    m[i][j] -= f * m[k][j]
+    return sig
+
+
+def _goeritz(pd: PlanarDiagram, shade: int) -> tuple[list[list[int]], list[int]]:
+    """The reduced Goeritz matrix G' over the faces of colour ``shade``,
+    and eta of every crossing.
 
     Corner k of crossing c lies between slots k and k + 1.  The faces
-    whose colour class holds corner (0, 0) are shaded.  A crossing has
+    whose colour class holds corner (0, 0) have colour 0, the others 1,
+    and the faces of colour ``shade`` are shaded.  A crossing has
     eta = +1 when its shaded corners are 1 and 3, the ones the A
     smoothing joins, and -1 otherwise.  G_ij = -sum eta over the
     crossings between distinct shaded faces i and j, G_ii = -sum_{j != i} G_ij,
-    and G' deletes the row and column of corner (0, 0)'s face.  For a
-    knot diagram the result is the determinant |V(-1)|.
+    and G' deletes the row and column of the first shaded face.
     """
     ends: dict[int, list[tuple[int, int]]] = {}
     for c, cr in enumerate(pd.crossings):
@@ -225,15 +266,43 @@ def goeritz_determinant(pd: PlanarDiagram) -> int:
                 todo.append(g)
             elif colour[g] == colour[f]:
                 raise ValueError("the faces admit no checkerboard colouring")
-    shaded = sorted(f for f, col in colour.items() if col == 0)
-    index = {f: i for i, f in enumerate(shaded)}  # corner (0, 0)'s face first
+    shaded = sorted(f for f, col in colour.items() if col == shade)
+    index = {f: i for i, f in enumerate(shaded)}
     matrix = [[0] * len(shaded) for _ in shaded]
+    etas = []
     for c in range(pd.n):
-        eta, k = (1, 1) if colour[face[c, 1]] == 0 else (-1, 0)
+        eta, k = (1, 1) if colour[face[c, 1]] == shade else (-1, 0)
+        etas.append(eta)
         i, j = index[face[c, k]], index[face[c, k + 2]]
         if i != j:
             matrix[i][j] -= eta
             matrix[j][i] -= eta
     for i, row in enumerate(matrix):
         row[i] = -sum(row)
-    return abs(_bareiss_det([row[1:] for row in matrix[1:]]))
+    return [row[1:] for row in matrix[1:]], etas
+
+
+def goeritz_determinant(pd: PlanarDiagram) -> int:
+    """|det G'| for the Goeritz matrix of the checkerboard colouring.
+
+    For a knot diagram this is the determinant |V(-1)|.
+    """
+    return abs(_bareiss_det(_goeritz(pd, 0)[0]))
+
+
+def goeritz_signature(pd: PlanarDiagram, shade: int = 0) -> int:
+    """The knot signature from the Goeritz matrix (Gordon and Litherland).
+
+    The surface is spanned by the faces that are not shaded, and G' is
+    its Gordon-Litherland form on the loops around the shaded faces.  A
+    crossing is of type II when its oriented smoothing joins the
+    surface's corners, which is when eta = -sign, and mu sums eta over
+    the type II crossings.  Gordon and Litherland's sign(G') - mu, with
+    this eta, is minus the signature in the convention where the
+    positive trefoil has sigma = -2, so this returns mu - sign(G').
+    Either colouring gives the same value, and V(-1) = (-1)^(sigma / 2) det
+    for a knot.
+    """
+    matrix, etas = _goeritz(pd, shade)
+    mu = sum(eta for eta, cr in zip(etas, pd.crossings) if eta == -cr.sign())
+    return mu - _signature(matrix)

@@ -14,7 +14,14 @@ and ``dt_of`` reads the DT code back off any diagram, so realization
 can be checked against a diagram it did not build.
 
 ``switch_crossing`` and ``mirror`` exchange over and under strands at
-one crossing or at all of them.
+one crossing or at all of them.  ``shuffled`` stores the same diagram
+with its crossings in another order, and ``reflected`` embeds it with
+the opposite reflection.
+
+``end_mates_oracle`` is the end pairing of ``realize.end_mates`` built
+from explicit arrival and departure maps over all four slots of every
+crossing, with the structural checks that ``validate_diagram`` made
+before ``end_mates`` took them over.
 
 ``interlacement_bits_oracle`` is the orientation-bit rule of
 ``realize._orientation_bits`` written over sets: every pair of chords
@@ -22,6 +29,8 @@ compared once, and a depth-first walk one neighbour at a time.
 """
 
 from __future__ import annotations
+
+import random
 
 from turaev.dt import DtCode
 from turaev.realize import Crossing, PlanarDiagram
@@ -163,6 +172,64 @@ def switch_crossing(pd: PlanarDiagram, i: int) -> PlanarDiagram:
 def mirror(pd: PlanarDiagram) -> PlanarDiagram:
     """The mirror diagram: every crossing switched."""
     return PlanarDiagram(tuple(_switched(cr) for cr in pd.crossings))
+
+
+def shuffled(pd: PlanarDiagram, rng: random.Random) -> PlanarDiagram:
+    """The same diagram with its crossings stored in a random order."""
+    crossings = list(pd.crossings)
+    rng.shuffle(crossings)
+    return PlanarDiagram(tuple(crossings))
+
+
+def reflected(pd: PlanarDiagram) -> PlanarDiagram:
+    """The same diagram embedded with the opposite reflection.
+
+    Reversing every cyclic slot order keeps slot 0 as the under-strand
+    arrival and moves the over-strand arrival from slot 1 to slot 3 or
+    back.
+    """
+    out = []
+    for cr in pd.crossings:
+        s0, s1, s2, s3 = cr.slots
+        out.append(Crossing((s0, s3, s2, s1), 4 - cr.over_in_slot))
+    return PlanarDiagram(tuple(out))
+
+
+def end_mates_oracle(pd: PlanarDiagram) -> list[int]:
+    """The end pairing from an arrival map and a departure map.
+
+    Raises ValueError unless every ``over_in_slot`` is 1 or 3, each edge
+    1..2n arrives once and departs once, and edge k's head sits at the
+    crossing that edge k + 1 leaves, on the same strand (both under, or
+    both over).
+    """
+    two_n = pd.n_edges
+    arrive: dict[int, tuple[int, int]] = {}
+    depart: dict[int, tuple[int, int]] = {}
+    for c, cr in enumerate(pd.crossings):
+        if cr.over_in_slot not in (1, 3):
+            raise ValueError(f"crossing {c}: over_in_slot must be 1 or 3")
+        for s, e in enumerate(cr.slots):
+            if not 1 <= e <= two_n:
+                raise ValueError(f"crossing {c}: edge {e} outside 1..{two_n}")
+            side = arrive if s in (0, cr.over_in_slot) else depart
+            if e in side:
+                raise ValueError(f"edge {e} appears twice on the same side")
+            side[e] = (c, s)
+    if len(arrive) != two_n or len(depart) != two_n:
+        raise ValueError("each edge must arrive once and depart once")
+    for e in range(1, two_n + 1):
+        nxt = e % two_n + 1
+        (ca, sa), (cd, sd) = arrive[e], depart[nxt]
+        if ca != cd:
+            raise ValueError(f"edge {e} arrives at crossing {ca} but edge {nxt} departs crossing {cd}")
+        if {sa, sd} not in ({0, 2}, {1, 3}):
+            raise ValueError(f"edges {e},{nxt} do not pass straight through crossing {ca}")
+    mate = [0] * (4 * pd.n)
+    for e in range(1, two_n + 1):
+        (ca, sa), (cd, sd) = arrive[e], depart[e]
+        mate[4 * ca + sa], mate[4 * cd + sd] = 4 * cd + sd, 4 * ca + sa
+    return mate
 
 
 def interlacement_bits_oracle(code: DtCode) -> list[int]:

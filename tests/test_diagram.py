@@ -7,7 +7,7 @@ import pytest
 from bracket_oracles import loops_oracle
 from diagram_fixtures import mirror, pretzel_dt, switch_crossing
 from turaev.dt import DtCode, SignKind, classify_signs, parse_dt
-from turaev.poly import DisconnectedDiagram, bracket, turaev_genus, writhe
+from turaev.poly import bracket, turaev_genus, writhe
 from turaev.realize import Crossing, PlanarDiagram, realize, try_realize, validate_diagram
 
 TREFOIL = realize(parse_dt("{{3},{4,6,2}}"))
@@ -108,10 +108,11 @@ def test_connect_sum_of_opposite_kinks_has_genus_zero() -> None:
 
 
 def test_disconnected_diagram_rejected() -> None:
+    # two disjoint kinks are not one closed strand: end_mates rejects them
     two_kinks = PlanarDiagram(
         (Crossing((1, 2, 2, 1), 1), Crossing((3, 4, 4, 3), 1))
     )
-    with pytest.raises(DisconnectedDiagram):
+    with pytest.raises(ValueError, match="slot 3 carries 1, not 3"):
         turaev_genus(two_kinks)
-    with pytest.raises(DisconnectedDiagram):
+    with pytest.raises(ValueError, match="slot 3 carries 1, not 3"):
         bracket(two_kinks)

@@ -15,12 +15,14 @@ values pin the conventions: the canonical kink realization brackets to
 -t^-4 + t^-3 + t^-1 up to mirror with span 3.
 On diagrams up to 17 crossings and on the long braid closures below,
 every Jones polynomial satisfies V(1) = 1, V(e^(2 pi i/3)) = 1 and
-span V <= n - g_T(D), |V(-1)| equals the determinant of the Goeritz
+span V <= n - g_T(D), V(-1) = (-1)^(sigma / 2) det with det and sigma
+the determinant and the Gordon-Litherland signature of the Goeritz
 matrix, and V(i) is -1 exactly when that determinant is 3 or 5 mod 8
 (the Arf invariant).  That matrix comes from a face walk and
 checkerboard colouring that share no code with the state sums, so the
 check ties the polynomial layer to a second model of the same
-diagram.  Shuffling the crossing storage sends the contraction through
+diagram; both colourings give the same signature, and a mirror
+negates it.  Shuffling the crossing storage sends the contraction through
 a different order and must not change the bracket.  Closed alternating
 4-braids at n = 41, 61 and 81, stored in DT order, check
 Kauffman-Murasugi-Thistlethwaite (span V = n on a reduced alternating
@@ -68,12 +70,22 @@ from bracket_oracles import (
     enumeration_bracket,
     frontier_order_oracle,
     goeritz_determinant,
+    goeritz_signature,
     skein_bracket,
 )
-from diagram_fixtures import braid_closure_diagram, dt_of, mirror, pretzel_dt, switch_crossing
+from diagram_fixtures import (
+    braid_closure_diagram,
+    dt_of,
+    mirror,
+    pretzel_dt,
+    reflected,
+    shuffled,
+    switch_crossing,
+)
 
 KINK = "{{1},{2}}"
 TREFOIL = "{{3},{4,6,2}}"
+FIGURE_EIGHT = "{{4},{4,6,8,2}}"
 K12_MIN = "{{12},{4,8,14,2,-18,16,6,20,22,-24,12,-10}}"
 K12_REP = "{{17},{4,8,14,2,24,32,6,30,26,28,-16,12,34,18,20,22,10}}"
 OTHER_MIN = "{{12},{4,8,14,2,-18,-22,6,20,-10,24,-12,-16}}"
@@ -108,8 +120,9 @@ def _random_diagrams(seed: int, count: int, max_n: int) -> list[PlanarDiagram]:
 
 
 def _assert_knot_values(pd: PlanarDiagram, v: LaurentPoly) -> None:
-    """V(1) = 1, V(omega) = 1 for omega = e^(2 pi i/3), |V(-1)| is the
-    Goeritz determinant of ``pd``, and V(i) = (-1)^Arf.
+    """V(1) = 1, V(omega) = 1 for omega = e^(2 pi i/3),
+    V(-1) = (-1)^(sigma / 2) det with det and sigma the Goeritz
+    determinant and signature of ``pd``, and V(i) = (-1)^Arf.
 
     Exact in Z[omega]: with a_r the sum of the coefficients whose
     exponent is r mod 3, omega^2 = -1 - omega gives
@@ -117,6 +130,7 @@ def _assert_knot_values(pd: PlanarDiagram, v: LaurentPoly) -> None:
     the sums by exponent mod 4, V(i) = (b_0 - b_2) + (b_1 - b_3) i.  The
     Arf invariant is 0 exactly when the determinant is +-1 mod 8
     (H. Murakami; Levine), which ties V(i) to the Goeritz matrix too.
+    Both checkerboard colourings must give the same signature.
     """
     assert sum(c for _, c in v.terms) == 1
     a = [0, 0, 0]
@@ -124,7 +138,10 @@ def _assert_knot_values(pd: PlanarDiagram, v: LaurentPoly) -> None:
         a[e % 3] += c
     assert a[1] == a[2] and a[0] - a[2] == 1
     det = goeritz_determinant(pd)
-    assert abs(sum(-c if e % 2 else c for e, c in v.terms)) == det
+    sigma = goeritz_signature(pd)
+    assert goeritz_signature(pd, shade=1) == sigma
+    sign = 1 if sigma % 4 == 0 else -1
+    assert sum(-c if e % 2 else c for e, c in v.terms) == sign * det
     b = [0, 0, 0, 0]
     for e, c in v.terms:
         b[e % 4] += c
@@ -143,27 +160,6 @@ def _alternating_braid(seed: int, n: int) -> PlanarDiagram:
                 return braid_closure_diagram(word)
             except ValueError:  # closes to a link
                 continue
-
-
-def _shuffled(pd: PlanarDiagram, rng: random.Random) -> PlanarDiagram:
-    """The same diagram with its crossings stored in a random order."""
-    crossings = list(pd.crossings)
-    rng.shuffle(crossings)
-    return PlanarDiagram(tuple(crossings))
-
-
-def _reflected(pd: PlanarDiagram) -> PlanarDiagram:
-    """The same diagram embedded with the opposite reflection.
-
-    Reversing every cyclic slot order keeps slot 0 as the under-strand
-    arrival and moves the over-strand arrival from slot 1 to slot 3 or
-    back.
-    """
-    out = []
-    for cr in pd.crossings:
-        s0, s1, s2, s3 = cr.slots
-        out.append(Crossing((s0, s3, s2, s1), 4 - cr.over_in_slot))
-    return PlanarDiagram(tuple(out))
 
 
 class TestLaurentPoly:
@@ -224,7 +220,7 @@ class TestBracket:
     def test_independent_of_crossing_order(self) -> None:
         rng = random.Random(17)
         for pd in _random_diagrams(15, 25, 8) + [_alternating_braid(41, 41)]:
-            assert bracket(_shuffled(pd, rng)) == bracket(pd)
+            assert bracket(shuffled(pd, rng)) == bracket(pd)
 
     def test_frontier_order_matches_oracle(self) -> None:
         fixtures = [realize(parse_dt(t)) for t in (K12_MIN, OTHER_MIN, K12_REP)]
@@ -245,9 +241,12 @@ class TestBracket:
         # the torus.  Its state sum -A^4 + 1 + A^-2 has exponents of two
         # residues mod 4, which no plane diagram has; jones rejected it
         # before the readout checked residues, and still does.
+        # It is one closed strand, so it passes end_mates, and fails only
+        # the face count of validate_diagram.
         pd = PlanarDiagram((Crossing((2, 4, 3, 1), 1), Crossing((3, 1, 4, 2), 1)))
-        validate_diagram(pd)
         assert face_count(pd) == pd.n
+        with pytest.raises(ValueError, match="2 faces, not 4"):
+            validate_diagram(pd)
         with pytest.raises(NormalizationFailure, match="exponents -2 and 0"):
             bracket(pd)
         with pytest.raises(NormalizationFailure):
@@ -291,14 +290,14 @@ class TestJones:
     def test_opposite_reflection_mirrors_jones(self) -> None:
         for text in (TREFOIL, K12_MIN):
             pd = realize(parse_dt(text))
-            flipped = _reflected(pd)
+            flipped = reflected(pd)
             assert face_count(flipped) == pd.n + 2
             assert writhe(flipped) == -writhe(pd)
             assert jones(flipped) == jones(pd).mirrored()
 
     def test_reflection_invariance_on_random_codes(self) -> None:
         for pd in _random_diagrams(16, 15, 7):
-            assert equal_up_to_mirror(jones(pd), jones(_reflected(pd)))
+            assert equal_up_to_mirror(jones(pd), jones(reflected(pd)))
 
     def test_value_at_one_and_turaev_span_bound(self) -> None:
         # Dasbach-Futer-Kalfagianni-Lin-Stoltzfus: span V <= n - g_T(D)
@@ -329,6 +328,18 @@ class TestJones:
             assert face_count(realized) == n + 2
             b = bracket(fixture)
             assert bracket(realized) in (b, b.mirrored())
+
+    def test_goeritz_signature(self) -> None:
+        # all three crossings of this trefoil are negative: sigma = +2 in
+        # the convention where the positive trefoil has sigma = -2
+        trefoil = realize(parse_dt(TREFOIL))
+        assert writhe(trefoil) == -3 and goeritz_signature(trefoil) == 2
+        assert goeritz_signature(realize(parse_dt(FIGURE_EIGHT))) == 0
+        fixtures = [realize(parse_dt(t)) for t in (KINK, TREFOIL, FIGURE_EIGHT, K12_MIN)]
+        for pd in _random_diagrams(18, 25, 8) + fixtures:
+            sigma = goeritz_signature(pd)
+            assert goeritz_signature(pd, shade=1) == sigma
+            assert goeritz_signature(mirror(pd)) == -sigma
 
     def test_coefficients_stay_below_bound(self) -> None:
         pd = realize(parse_dt(K12_REP))

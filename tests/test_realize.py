@@ -7,6 +7,7 @@ from itertools import permutations, product
 import pytest
 
 from turaev.dt import DtCode, parse_dt
+from turaev.poly import bracket, turaev_genus
 from turaev.realize import (
     Crossing,
     NotRealizable,
@@ -20,7 +21,16 @@ from turaev.realize import (
     validate_diagram,
 )
 
-from diagram_fixtures import braid_closure_diagram, dt_of, interlacement_bits_oracle
+from diagram_fixtures import (
+    braid_closure_diagram,
+    dt_of,
+    end_mates_oracle,
+    interlacement_bits_oracle,
+    mirror,
+    reflected,
+    shuffled,
+    switch_crossing,
+)
 
 TREFOIL = parse_dt("{{3},{4,6,2}}")
 KINK = parse_dt("{{1},{2}}")
@@ -66,24 +76,33 @@ def _first_embedding_bits(code: DtCode) -> tuple[int, ...] | None:
     return None
 
 
-def _braid_codes(seed: int, count: int, low: int, high: int) -> list[DtCode]:
-    """Codes of seeded braid closures with n = low..high, every second
-    one read with the traversal started an even number of passes later."""
+def _braid_diagrams(seed: int, count: int, low: int, high: int) -> list[PlanarDiagram]:
+    """Seeded braid closures with n = low..high, every second one
+    renumbered with the traversal started an even number of passes later."""
     rng = random.Random(seed)
-    codes: list[DtCode] = []
-    while len(codes) < count:
+    diagrams: list[PlanarDiagram] = []
+    while len(diagrams) < count:
         n = rng.randint(low, high)
         gens = (1, 2, 3) if n % 2 else (1, 2)
         try:
             pd = braid_closure_diagram([rng.choice(gens) * rng.choice((1, -1)) for _ in range(n)])
         except ValueError:  # closes to a link
             continue
-        shift = 2 * rng.randrange(n) if len(codes) % 2 else 0
+        shift = 2 * rng.randrange(n) if len(diagrams) % 2 else 0
         two_n = 2 * n
-        codes.append(dt_of(PlanarDiagram(tuple(
+        diagrams.append(PlanarDiagram(tuple(
             Crossing(tuple((e - 1 - shift) % two_n + 1 for e in cr.slots), cr.over_in_slot)
-            for cr in pd.crossings))))
-    return codes
+            for cr in pd.crossings)))
+    return diagrams
+
+
+def _braid_codes(seed: int, count: int, low: int, high: int) -> list[DtCode]:
+    """The DT codes of ``_braid_diagrams``."""
+    return [dt_of(pd) for pd in _braid_diagrams(seed, count, low, high)]
+
+
+def _replaced(pd: PlanarDiagram, i: int, cr: Crossing) -> PlanarDiagram:
+    return PlanarDiagram(pd.crossings[:i] + (cr,) + pd.crossings[i + 1:])
 
 
 def test_trefoil_realization() -> None:
@@ -189,6 +208,81 @@ def test_mates_is_the_end_pairing_built_once() -> None:
     fresh = realize(TWELVE_REP)
     assert pd == fresh and hash(pd) == hash(fresh)
     assert [f.name for f in dataclasses.fields(PlanarDiagram)] == ["crossings"]
+
+
+def test_end_mates_match_the_oracle() -> None:
+    # Seeded realizable codes, braid closures with n = 13..61 (every
+    # second one renumbered) and the realizations of their codes, each
+    # also mirrored, with one crossing switched, shuffled and reflected.
+    rng = random.Random(37)
+    bases = []
+    while len(bases) < 30:
+        n = rng.randint(1, 12)
+        mags = rng.sample(range(2, 2 * n + 1, 2), n)
+        result = try_realize(DtCode(n, tuple(a if rng.random() < 0.5 else -a for a in mags)))
+        if result.diagram is not None:
+            bases.append(result.diagram)
+    for pd in _braid_diagrams(38, 12, 13, 61):
+        bases += [pd, realize(dt_of(pd))]
+    for pd in bases:
+        forms = (pd, mirror(pd), switch_crossing(pd, rng.randrange(pd.n)),
+                 shuffled(pd, rng), reflected(pd))
+        for form in forms:
+            assert end_mates(form) == end_mates_oracle(form), form
+
+
+_TREFOIL_PD = realize(TREFOIL)  # X1: (3, 6, 4, 1), over in at slot 1
+_X1 = _TREFOIL_PD.crossings[0]
+
+
+@pytest.mark.parametrize("pd, message", [
+    (_replaced(_TREFOIL_PD, 0, Crossing(_X1.slots, 2)), "over_in_slot must be 1 or 3"),
+    (_replaced(_TREFOIL_PD, 0, Crossing((0, 6, 4, 1), 1)), "edge 0 outside 1..6"),
+    (_replaced(_TREFOIL_PD, 0, Crossing((7, 6, 4, 1), 1)), "edge 7 outside 1..6"),
+    (_replaced(_TREFOIL_PD, 1, _X1), "edge 3 arrives twice"),
+    (_replaced(_TREFOIL_PD, 0, Crossing((3, 6, 1, 4), 1)), "slot 2 carries 1, not 4"),
+    (PlanarDiagram((Crossing((1, 2, 2, 1), 1), Crossing((3, 4, 4, 3), 1))),
+     "slot 3 carries 1, not 3"),
+], ids=["over-in-slot-2", "edge-0", "edge-2n+1", "arrives-twice", "bent-strand",
+        "two-disjoint-kinks"])
+def test_malformed_diagram_rejected(pd: PlanarDiagram, message: str) -> None:
+    with pytest.raises(ValueError):
+        end_mates_oracle(pd)
+    for check in (end_mates, face_count, validate_diagram, bracket, turaev_genus):
+        with pytest.raises(ValueError, match=message):
+            check(pd)
+
+
+def test_end_mates_rejects_what_the_oracle_rejects() -> None:
+    # Every realizable code with n <= 3, with one to three slots or
+    # over-in slots overwritten by values just inside and just outside
+    # their ranges: end_mates raises exactly when the oracle does, and
+    # otherwise returns the same pairing.
+    bases = [result.diagram for n in range(1, 4)
+             for perm in permutations(range(2, 2 * n + 1, 2))
+             for signs in product((1, -1), repeat=n)
+             if (result := try_realize(DtCode(n, tuple(s * a for s, a in zip(signs, perm))))).diagram]
+    rng = random.Random(39)
+    accepted = 0
+    for _ in range(3000):
+        pd = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(pd.n)
+            slots, over = list(pd.crossings[i].slots), pd.crossings[i].over_in_slot
+            if rng.random() < 0.2:
+                over = rng.randint(0, 3)
+            else:
+                slots[rng.randrange(4)] = rng.randint(0, pd.n_edges + 1)
+            pd = _replaced(pd, i, Crossing(tuple(slots), over))
+        try:
+            want = end_mates_oracle(pd)
+        except ValueError:
+            with pytest.raises(ValueError):
+                end_mates(pd)
+        else:
+            assert end_mates(pd) == want, pd
+            accepted += 1
+    assert 0 < accepted < 3000
 
 
 def test_signs_do_not_affect_realizability() -> None:
