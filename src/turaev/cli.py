@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .corpus import CorpusError, corpus_sha256, load_corpus, validate_corpus
+from .corpus import CorpusError, corpus_sha256, load_corpus
 from .dt import DtCodeError, classify_signs, parse_dt
 from .poly import jones, turaev_genus
 from .realize import NotRealizable, format_diagram, realize
@@ -62,9 +62,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_syn = sub.add_parser(
         "tangle-synthesize",
-        help="tangle word with fraction P/Q: for P/Q < 0 the shortest "
-             "word whose only negative entry is a single -1, for P/Q >= 0 "
-             "the plain continued-fraction word")
+        help="tangle word with fraction P/Q and entries of one digit: "
+             "for P/Q < 0 the shortest word whose only negative entry is "
+             "a single -1, for P/Q >= 0 the plain continued-fraction word")
     p_syn.add_argument("pq", metavar="P/Q",
                        help='a finite rational, e.g. "-3/5" or "7/3"')
     # let a leading minus read as a fraction, not an option flag
@@ -76,7 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         rows = load_corpus(args.corpus)
-        validate_corpus(rows)
     except (CorpusError, OSError) as exc:
         print(f"corpus error: {exc}", file=sys.stderr)
         return 1

@@ -12,12 +12,14 @@ came from (``table1+2``, ``table3`` or ``prose``).  Lines starting with
 ``#`` are comments.  DT fields use the bit-exact text form of module
 ``dt``.
 
-Loading re-checks the structural invariants (schema, joinedness of the
-two notation columns, global counts); :func:`validate_corpus` re-checks
-everything again, including the sign classification of every code, and
-is intended as the loud guard in front of any verification run.  Only
-notations and codes are stored; derived quantities (Jones polynomials,
-genus, spans) are always recomputed downstream.
+Loading parses each line against the schema and then runs
+:func:`validate_corpus` once over the rows: it is the one checker of a
+census, and covers duplicates, the notation pair, status against
+``dt_rep``, crossing numbers, the sign class and crossing range of
+every code, and the global counts.  A row that loads is checked; no
+caller validates again.  Only notations and codes are stored; derived
+quantities (Jones polynomials, genus, spans) are always recomputed
+downstream.
 
 Each row also carries ``conway_check``, computed at load time:
 
@@ -48,7 +50,6 @@ __all__ = [
     "CorpusSummary",
     "CorpusError",
     "SchemaError",
-    "JoinError",
     "CountMismatch",
     "ValidationError",
     "EMBEDDED_CORPUS",
@@ -65,10 +66,6 @@ class CorpusError(ValueError):
 
 class SchemaError(CorpusError):
     """A line does not parse as a corpus record."""
-
-
-class JoinError(CorpusError):
-    """A name is duplicated, or a row has only half of its notation pair."""
 
 
 class CountMismatch(CorpusError):
@@ -170,11 +167,6 @@ def _parse_line(lineno: int, line: str) -> CorpusRow:
         code_rep = parse_dt(dt_rep) if dt_rep else None
     except DtCodeError as exc:
         raise SchemaError(f"line {lineno}: {exc}") from exc
-    # the two notation columns were merged into one record per name;
-    # a half-present pair means the merge lost a row
-    if (code_rep is None) != (not conway_rep):
-        raise JoinError(f"line {lineno}: {name} has only one of "
-                        f"conway_rep/dt_rep")
     return CorpusRow(
         name=name,
         status=status,
@@ -188,45 +180,37 @@ def _parse_line(lineno: int, line: str) -> CorpusRow:
 
 
 def load_corpus(source: str | Path | None = None) -> list[CorpusRow]:
-    """Parse the corpus (embedded by default, or a file path).
+    """Parse and validate the corpus (embedded by default, or a file path).
 
-    Raises SchemaError / JoinError / CountMismatch; the result preserves
-    file order and is fully structurally checked.
+    Raises OSError when the file cannot be read, SchemaError when it is
+    not UTF-8 text or a line does not parse, and whatever
+    :func:`validate_corpus` raises for the parsed rows.  The result
+    preserves file order.
     """
-    text = corpus_bytes(source).decode("utf-8")
-    rows: list[CorpusRow] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        rows.append(_parse_line(lineno, line))
-    names = [r.name for r in rows]
-    dupes = {n for n in names if names.count(n) > 1}
-    if dupes:
-        raise JoinError(f"duplicate names: {sorted(dupes)}")
-    _check_counts(rows)
+    try:
+        text = corpus_bytes(source).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"not UTF-8 text: {exc}") from exc
+    rows = [_parse_line(lineno, line)
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            if line.strip() and not line.lstrip().startswith("#")]
+    validate_corpus(rows)
     return rows
 
 
-def _check_counts(rows: list[CorpusRow]) -> CorpusSummary:
-    got = {"resolved_12": 0, "open_12": 0, "resolved_11": 0, "open_11": 0}
-    for r in rows:
-        key = f"{r.status}_{r.crossing_number}"
-        if key not in got:
-            raise CountMismatch(f"{r.name}: unexpected crossing number "
-                                f"{r.crossing_number}")
-        got[key] += 1
-    if got != _EXPECTED:
-        raise CountMismatch(f"row counts {got} != expected {_EXPECTED}")
-    return CorpusSummary(**got)
-
-
 def validate_corpus(rows: list[CorpusRow]) -> CorpusSummary:
-    """Re-check every row invariant; return the count summary.
+    """Check every row invariant in file order; return the count summary.
 
-    Raises ValidationError naming the first offending row, or
-    CountMismatch when the totals are off.
+    The first offending row raises ValidationError for a duplicate
+    name, a half-present notation pair, a status that disagrees with
+    ``dt_rep``, a code's crossing number, range or sign class, or a bad
+    ``conway_check``, and CountMismatch for a crossing number other
+    than 11 or 12.  When
+    every row passes, CountMismatch reports totals that differ from the
+    published ones.
     """
     seen: set[str] = set()
+    got = dict.fromkeys(_EXPECTED, 0)
     for r in rows:
         if r.name in seen:
             raise ValidationError(f"{r.name}: duplicate row")
@@ -234,6 +218,8 @@ def validate_corpus(rows: list[CorpusRow]) -> CorpusSummary:
         if (r.status == "resolved") != (r.dt_rep is not None):
             raise ValidationError(f"{r.name}: status {r.status} inconsistent "
                                   f"with dt_rep presence")
+        # the two notation columns were merged into one record per name;
+        # a half-present pair means the merge lost a row
         if (r.dt_rep is None) != (r.conway_rep is None):
             raise ValidationError(f"{r.name}: notation pair half-present")
         if r.dt_min.n != r.crossing_number:
@@ -252,4 +238,11 @@ def validate_corpus(rows: list[CorpusRow]) -> CorpusSummary:
         if r.conway_check not in ("applicable", "not-alignable", "anomalous"):
             raise ValidationError(f"{r.name}: bad conway_check "
                                   f"{r.conway_check!r}")
-    return _check_counts(rows)
+        key = f"{r.status}_{r.crossing_number}"
+        if key not in got:
+            raise CountMismatch(f"{r.name}: unexpected crossing number "
+                                f"{r.crossing_number}")
+        got[key] += 1
+    if got != _EXPECTED:
+        raise CountMismatch(f"row counts {got} != expected {_EXPECTED}")
+    return CorpusSummary(**got)

@@ -14,7 +14,10 @@ Text notation follows the digit-per-entry convention of the LinKnot
 package: every digit is its own entry ("2110" is [2, 1, 1, 0]) and a
 ``-`` sign, with or without surrounding spaces, attaches to the single
 digit after it ("4 - 111" is [4, -1, 1, 1]).  Machine output is
-space-separated ("4 -1 1 1"); both spellings parse identically.
+space-separated ("4 -1 1 1").  Entries are therefore bounded by
+``MAX_ENTRY`` = 9, the largest that one digit writes, so every word
+renders to text that reads back as the same word and both spellings
+parse identically for every word.
 
 ``synthesize_one_minus_one`` finds, for a negative fraction, an
 equivalent word whose only negative entry is a single -1, among words
@@ -33,13 +36,14 @@ the best one found.  No state is kept between calls.  This follows the
 continued-fraction normal forms of rational tangles (Kauffman and
 Lambropoulou, "On the classification of rational tangles", 2004).
 Nonnegative fractions are returned as their plain continued-fraction
-word with no -1 at all; the caller can tell the two cases apart by
-whether -1 occurs.
+word with no -1 at all, in the first of its two spellings whose
+entries stay within 0..9 (10 is "1 9"); the caller can tell the two
+cases apart by whether -1 occurs.
 
 Not every rational is representable under those bounds: digits stop at
 9, so fractions whose continued fractions need a partial quotient
-above 9 in every disguise (for example -12 or -19/20) are genuinely
-out of reach and raise NotFound.
+above 9 in every disguise (for example -12, -19/20 or 12) are
+genuinely out of reach and raise NotFound.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ __all__ = [
     "extract_substitutions",
 ]
 
-MAX_ENTRY = 64  # corpus words and synthesized words stay far below this
+MAX_ENTRY = 9  # one digit per entry: the largest entry text can write
 MAX_SYNTH_LENGTH = 12
 
 
@@ -101,10 +105,6 @@ class ExtendedRational:
         return ExtendedRational(p // g, q // g)
 
     @staticmethod
-    def from_int(n: int) -> ExtendedRational:
-        return ExtendedRational(n, 1)
-
-    @staticmethod
     def parse(text: str) -> ExtendedRational:
         """Parse "p/q" or a bare integer, in ASCII digits."""
         body = text.strip()
@@ -118,16 +118,6 @@ class ExtendedRational:
     @property
     def is_infinite(self) -> bool:
         return self.q == 0
-
-    def recip(self) -> ExtendedRational:
-        """1/x with 1/0 = inf and 1/inf = 0."""
-        return ExtendedRational.make(self.q, self.p)
-
-    def plus_int(self, n: int) -> ExtendedRational:
-        """x + n with inf + n = inf."""
-        if self.q == 0:
-            return self
-        return ExtendedRational.make(self.p + n * self.q, self.q)
 
     def __str__(self) -> str:
         if self.q == 0:
@@ -187,11 +177,16 @@ def render_word(w: TangleWord) -> str:
 
 
 def fraction(w: TangleWord) -> ExtendedRational:
-    """Conway fraction of a rational tangle word."""
-    acc = ExtendedRational.from_int(w.entries[0])
+    """Conway fraction of a rational tangle word.
+
+    p/q runs through the continuants of the word: each step maps p/q to
+    e + q/p.  Consecutive continuants are coprime, so the pair is never
+    0/0, and 1/0 = inf, 1/inf = 0 fall out of the recurrence.
+    """
+    p, q = w.entries[0], 1
     for e in w.entries[1:]:
-        acc = acc.recip().plus_int(e)
-    return acc
+        p, q = e * p + q, p
+    return ExtendedRational.make(p, q)
 
 
 def _continued_fraction(p: int, d: int) -> list[int]:
@@ -203,17 +198,10 @@ def _continued_fraction(p: int, d: int) -> list[int]:
     return quotients
 
 
-def _nonnegative_word(q: ExtendedRational) -> TangleWord:
-    """Plain continued-fraction word for q >= 0 (reversed digit order)."""
-    digits = _continued_fraction(q.p, q.q)
-    if any(x > MAX_ENTRY for x in digits):
-        raise NotFound(f"continued fraction of {q} exceeds the entry bound")
-    return TangleWord(tuple(reversed(digits)))
-
-
 def _prefixes(p: int, d: int) -> list[tuple[int, ...]]:
-    """The words over 1..9 whose fraction is p/d >= 1: the continued
-    fraction in both spellings, ending in c_m or in c_m - 1, 1."""
+    """The continued-fraction words of p/d >= 0 with entries at most 9,
+    in both spellings, ending in c_m or in c_m - 1, 1.  For p/d >= 1
+    these are all the words over 1..9 whose fraction is p/d."""
     quotients = _continued_fraction(p, d)
     spellings = [quotients]
     if quotients[-1] >= 2:
@@ -225,9 +213,11 @@ def synthesize_one_minus_one(q: ExtendedRational) -> TangleWord:
     """Shortest word for q whose only negative entry is a single -1.
 
     Nonnegative q comes back as its ordinary continued-fraction word
-    with no -1 entry at all.  Negative q is resolved to the first word
-    in (length, lexicographic) order among words of length <= 12 with
-    entries in [-1, 9] and zeros only in final position.
+    with no -1 entry at all, in the first spelling whose entries fit
+    in 0..9 (NotFound when neither does).  Negative q is resolved to
+    the first word in (length, lexicographic) order among words of
+    length <= 12 with entries in [-1, 9] and zeros only in final
+    position.
 
     Such a word is P, -1, T.  The search walks T backward from q, one
     node per suffix, with v <- 1/(v - e); at a node v < 0 (the value
@@ -246,7 +236,11 @@ def synthesize_one_minus_one(q: ExtendedRational) -> TangleWord:
     if q.is_infinite:
         raise ValueError("cannot synthesize a word for infinity")
     if q.p >= 0:
-        return _nonnegative_word(q)
+        words = _prefixes(q.p, q.q)
+        if not words:
+            raise NotFound(f"no continued-fraction word of {q} has entries "
+                           "in 0..9")
+        return TangleWord(words[0])
 
     best: tuple[int, tuple[int, ...]] | None = None  # (length, word)
 

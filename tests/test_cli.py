@@ -1,13 +1,16 @@
 """Command-line entry points, exercised in process via main(argv).
 
-The verify subcommand is covered here only for failure plumbing (bad
-corpus path, invalid corpus file, embedded census absent); full-corpus verification runs in
-the acceptance tests.
+The verify subcommand is covered here on a synthetic census (report
+bytes, digest, row totals) and for failure plumbing (bad corpus path,
+invalid corpus file, embedded census absent); verification of the
+embedded census runs in the acceptance tests.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import turaev.corpus
+from synthetic_census import census_lines, write_census
 from turaev.cli import main
 
 
@@ -67,6 +71,30 @@ class TestSingleShotCommands:
         assert main(["tangle-synthesize", "3/5"]) == 0
         assert capsys.readouterr().out.strip() == "2 1 1 0"
 
+    def test_tangle_synthesize_one_digit_entries(self, capsys):
+        # 12 has no continued-fraction word with one-digit entries
+        assert main(["tangle-synthesize", "12"]) == 2
+        assert "error" in capsys.readouterr().err
+        assert main(["tangle-synthesize", "10"]) == 0
+        assert capsys.readouterr().out.strip() == "1 9"
+
+    def test_tangle_synthesize_reads_back(self, capsys):
+        # whatever synthesis prints, tangle-fraction reads as the target
+        words = 0
+        for p in range(31):
+            for q in range(1, 31):
+                if math.gcd(p, q) != 1:
+                    continue
+                if main(["tangle-synthesize", f"{p}/{q}"]) == 2:
+                    assert "no continued-fraction word" in capsys.readouterr().err
+                    continue
+                word = capsys.readouterr().out.strip()
+                assert main(["tangle-fraction", word]) == 0
+                assert capsys.readouterr().out.strip() == (
+                    f"{p}/{q}" if q > 1 else str(p))
+                words += 1
+        assert words >= 300
+
     def test_bad_fraction_exits_2(self, capsys):
         assert main(["tangle-synthesize", "x/y"]) == 2
         assert "error" in capsys.readouterr().err
@@ -112,6 +140,39 @@ class TestVerifyPlumbing:
         bad.write_text("K3n1\tresolved\tonly-two-fields\n")
         rc = main(["verify", "--corpus", str(bad)])
         assert rc == 1
+        assert "corpus error" in capsys.readouterr().err
+
+    def test_synthetic_census_reports_are_stable(self, capsys, tmp_path):
+        census = write_census(tmp_path)
+        codes = set()
+        for fmt in ("text", "json", "csv"):
+            bodies = []
+            for run in (1, 2):
+                report = tmp_path / f"{fmt}{run}"
+                codes.add(main(["verify", "--corpus", str(census), "--report",
+                                str(report), "--format", fmt]))
+                bodies.append(report.read_bytes())
+            assert bodies[0] == bodies[1], fmt
+        doc = json.loads((tmp_path / "json1").read_text(encoding="utf-8"))
+        assert doc["corpus_digest"] == hashlib.sha256(census.read_bytes()).hexdigest()
+        summary = doc["summary"]
+        assert summary["verified"] + summary["failed"] + summary["open"] == 192
+        assert codes == {1 if summary["failed"] else 0}
+        assert "192 rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["duplicate", "half-present", "191 rows"])
+    def test_bad_synthetic_census_exits_1(self, capsys, tmp_path, edit):
+        lines = census_lines()
+        if edit == "duplicate":
+            lines.append(lines[0])
+        elif edit == "half-present":
+            fields = lines[0].split("\t")
+            fields[3] = ""
+            lines[0] = "\t".join(fields)
+        else:
+            lines.pop()
+        census = write_census(tmp_path, lines)
+        assert main(["verify", "--corpus", str(census)]) == 1
         assert "corpus error" in capsys.readouterr().err
 
     def test_unknown_subcommand_exits_2(self, capsys):

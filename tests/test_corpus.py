@@ -1,4 +1,4 @@
-"""Corpus schema, join, count, and validation behavior.
+"""Corpus schema, row invariant, count, and validation behavior.
 
 Synthetic corpora exercise every failure class through temporary
 files; the embedded corpus is checked for its published shape (row
@@ -15,12 +15,13 @@ import random
 import pytest
 
 from embedded_corpus import needs_corpus
+from synthetic_census import write_census
 from turaev.corpus import (
     ANOMALOUS_ROWS,
     CorpusError,
     CorpusRow,
+    CorpusSummary,
     CountMismatch,
-    JoinError,
     SchemaError,
     ValidationError,
     _conway_check,
@@ -31,8 +32,8 @@ from turaev.corpus import (
 )
 from turaev.dt import parse_dt
 
-GOOD = ("K12n1\tresolved\t2 1\t2 1\t{{12},{4,6,8,10,12,14,16,18,20,22,24,2}}"
-        "\t{{13},{4,6,8,10,12,14,16,18,20,22,24,26,2}}\ttable1+2")
+GOOD = ("K12n1\tresolved\t2 1\t2 1\t{{12},{4,6,8,10,-12,14,16,18,-20,22,24,2}}"
+        "\t{{13},{-4,6,8,10,12,14,16,18,20,22,24,26,2}}\ttable1+2")
 
 
 def _load_lines(tmp_path, *lines):
@@ -73,11 +74,11 @@ class TestParseLine:
         with pytest.raises(SchemaError, match="line 1"):
             _parse_line(1, GOOD.replace("{{13},", "{{13,", 1))
 
-    def test_half_present_pair(self):
+    def test_half_present_pair(self, tmp_path):
         fields = GOOD.split("\t")
         fields[3] = ""
-        with pytest.raises(JoinError, match="only one of"):
-            _parse_line(1, "\t".join(fields))
+        with pytest.raises(ValidationError, match="K12n1: notation pair half-present"):
+            _load_lines(tmp_path, "\t".join(fields))
 
     def test_fuzzed_line_raises_only_corpus_errors(self):
         # digits of other scripts and superscripts are not numbers; the
@@ -103,17 +104,28 @@ class TestLoadCorpus:
     def test_comments_and_blanks_skipped(self, tmp_path):
         # the single data row parses fine, so the complaint is about
         # global counts, not about the comment lines
-        with pytest.raises(CountMismatch):
+        with pytest.raises(CountMismatch, match="row counts"):
             _load_lines(tmp_path, "# header", "", "  ", GOOD)
 
+    def test_synthetic_census_loads(self, tmp_path):
+        rows = load_corpus(write_census(tmp_path))
+        assert len(rows) == 192
+        assert validate_corpus(rows) == CorpusSummary(154, 35, 1, 2)
+
+    def test_non_utf8_file(self, tmp_path):
+        f = tmp_path / "corpus.tsv"
+        f.write_bytes(GOOD.encode("utf-8").replace(b"2 1", b"2\xff1", 1))
+        with pytest.raises(SchemaError, match="not UTF-8"):
+            load_corpus(f)
+
     def test_duplicate_names(self, tmp_path):
-        with pytest.raises(JoinError, match="duplicate"):
+        with pytest.raises(ValidationError, match="K12n1: duplicate row"):
             _load_lines(tmp_path, GOOD, GOOD)
 
     def test_unexpected_crossing_number(self, tmp_path):
         bad = GOOD.replace("K12n1", "K9n1").replace(
-            "{{12},{4,6,8,10,12,14,16,18,20,22,24,2}}",
-            "{{9},{4,6,8,10,12,14,16,18,2}}")
+            "{{12},{4,6,8,10,-12,14,16,18,-20,22,24,2}}",
+            "{{9},{4,6,8,-10,12,14,16,-18,2}}")
         with pytest.raises(CountMismatch, match="unexpected crossing"):
             _load_lines(tmp_path, bad)
 

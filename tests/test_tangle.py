@@ -7,7 +7,10 @@ back exactly, and the table of all coprime -p/q with p, q <= 40 in
 ``perfbench/golden.json``, recorded from an independent
 meet-in-the-middle search (found words and NotFounds alike).  Random
 targets drawn as fractions of random valid words check the fraction
-round trip up to the full length of 12.
+round trip up to the full length of 12.  ``fraction`` is checked
+against a plain ``fractions.Fraction`` evaluation, and nonnegative
+synthesis against the continued-fraction spellings computed the same
+way.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -70,6 +74,31 @@ def _append(p: int, q: int, e: int) -> tuple[int, int]:
     return p // g, q // g
 
 
+def _fraction_oracle(entries: tuple[int, ...]) -> Fraction | None:
+    """a_k + 1/(... + 1/a_1) over Fraction; None stands for 1/0."""
+    acc: Fraction | None = Fraction(entries[0])
+    for e in entries[1:]:
+        acc = Fraction(e) if acc is None else None if acc == 0 else e + 1 / acc
+    return acc
+
+
+def _digit_spellings(x: Fraction) -> list[tuple[int, ...]]:
+    """Words [c_m .. c_0] and [1, c_m - 1 .. c_0] of the continued
+    fraction c_0 + 1/(c_1 + ...) of x >= 0 whose entries are all at
+    most 9."""
+    cf = []
+    while True:
+        cf.append(math.floor(x))
+        x -= cf[-1]
+        if not x:
+            break
+        x = 1 / x
+    spellings = [cf]
+    if cf[-1] >= 2:
+        spellings.append([*cf[:-1], cf[-1] - 1, 1])
+    return [tuple(reversed(s)) for s in spellings if max(s) <= 9]
+
+
 class TestParseRender:
     def test_paper_style_tokens(self) -> None:
         assert parse_word("4 - 111").entries == (4, -1, 1, 1)
@@ -115,8 +144,10 @@ class TestParseRender:
         with pytest.raises(MalformedWord):
             TangleWord((2, 0, 2))
         with pytest.raises(MalformedWord):
-            TangleWord((65,))
-        TangleWord((64, -1, 0))  # at the bound, zero final
+            TangleWord((10,))
+        with pytest.raises(MalformedWord):
+            TangleWord((2, -10))
+        TangleWord((9, -9, 0))  # at the one-digit bound, zero final
 
     def test_render_and_round_trip(self) -> None:
         assert render_word(parse_word("4 - 111")) == "4 -1 1 1"
@@ -161,15 +192,6 @@ class TestExtendedRational:
         assert str(_er("7")) == "7"
         assert str(ExtendedRational(1, 0)) == "inf"
 
-    def test_extended_arithmetic(self) -> None:
-        inf = ExtendedRational(1, 0)
-        zero = ExtendedRational(0, 1)
-        assert zero.recip() == inf
-        assert inf.recip() == zero
-        assert inf.plus_int(5) == inf
-        assert _er("1/2").recip() == _er("2")
-        assert _er("-2/3").plus_int(1) == _er("1/3")
-
 
 class TestFraction:
     def test_examples(self) -> None:
@@ -184,6 +206,26 @@ class TestFraction:
         assert fraction(TangleWord((2, -1, 2))) == _er("0")
         assert fraction(TangleWord((2, -1, 2, 5))) == ExtendedRational(1, 0)
         assert fraction(TangleWord((2, -1, 2, 5, 3))) == _er("3")
+
+    def test_matches_fraction_oracle(self) -> None:
+        rng = random.Random(61)
+        infinities = zeros = 0
+        for _ in range(5000):
+            top = rng.choice((2, 9))  # small entries reach 0 and 1/0 often
+            entries = [rng.choice((-1, 1)) * rng.randint(1, top)
+                       for _ in range(rng.randint(1, 12))]
+            if rng.random() < 0.2:
+                entries.append(0)
+            want = _fraction_oracle(tuple(entries))
+            got = fraction(TangleWord(tuple(entries)))
+            if want is None:
+                infinities += 1
+                assert got == ExtendedRational(1, 0), entries
+            else:
+                zeros += want == 0
+                assert got == ExtendedRational(want.numerator,
+                                               want.denominator), entries
+        assert infinities >= 20 and zeros >= 20
 
 
 class TestSynthesize:
@@ -223,7 +265,8 @@ class TestSynthesize:
             assert got == want, text
 
     def test_nonnegative_passthrough(self) -> None:
-        for q, want in [("7/3", "3 2"), ("0", "0"), ("5", "5"), ("1/2", "2 0")]:
+        for q, want in [("7/3", "3 2"), ("0", "0"), ("5", "5"), ("1/2", "2 0"),
+                        ("10", "1 9"), ("1/10", "1 9 0")]:
             w = synthesize_one_minus_one(_er(q))
             assert render_word(w) == want
             assert -1 not in w.entries
@@ -242,7 +285,14 @@ class TestSynthesize:
             target = fraction(TangleWord(tuple(entries)))
             if target.is_infinite:
                 continue
-            w = synthesize_one_minus_one(target)
+            try:
+                w = synthesize_one_minus_one(target)
+            except NotFound:
+                # a nonnegative target needs a one-digit spelling
+                assert target.p >= 0, entries
+                assert not _digit_spellings(Fraction(target.p, target.q))
+                done += 1
+                continue
             assert fraction(w) == target
             ones = sum(1 for e in w.entries if e == -1)
             assert ones == (1 if target.p < 0 else 0)
@@ -254,7 +304,13 @@ class TestSynthesize:
         rng = random.Random(43)
         for _ in range(100):
             target = ExtendedRational.make(rng.randint(0, 20), rng.randint(1, 20))
-            w = synthesize_one_minus_one(target)
+            spellings = _digit_spellings(Fraction(target.p, target.q))
+            try:
+                w = synthesize_one_minus_one(target)
+            except NotFound:
+                assert not spellings, target
+                continue
+            assert w.entries == spellings[0]
             assert fraction(w) == target
 
     def test_unrepresentable_targets(self) -> None:
