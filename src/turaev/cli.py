@@ -8,21 +8,22 @@ rationals.  The tool never touches the network: the corpus ships
 inside the package and is overridable only by the --corpus flag.
 
 Exit codes: 0 on success (for `verify`: zero FAILED rows), 1 when
-verification fails or the corpus does not validate, 2 on bad input.
+verification fails or the corpus does not validate, 2 on bad input or
+a stage fault on the diagram (under `verify`, that fails only its row).
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
 
-from .corpus import CorpusError, corpus_sha256, load_corpus
-from .dt import DtCodeError, classify_signs, parse_dt
+from .corpus import CorpusError, corpus_bytes, parse_corpus
+from .dt import classify_signs, parse_dt
 from .poly import jones, turaev_genus
-from .realize import NotRealizable, format_diagram, realize
+from .realize import format_diagram, realize
 from .tangle import (
     ExtendedRational,
-    MalformedWord,
     NotFound,
     fraction,
     parse_word,
@@ -75,12 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        rows = load_corpus(args.corpus)
+        raw = corpus_bytes(args.corpus)
+        rows = parse_corpus(raw)
     except (CorpusError, OSError) as exc:
         print(f"corpus error: {exc}", file=sys.stderr)
         return 1
-    digest = corpus_sha256(args.corpus)
-    report = verify_all(rows, corpus_digest=digest)
+    report = verify_all(rows, corpus_digest=hashlib.sha256(raw).hexdigest())
     body = RENDERERS[args.format](report)
     if args.report is None:
         sys.stdout.write(body)
@@ -112,8 +113,7 @@ def main(argv: list[str] | None = None) -> int:
             print(render_word(synthesize_one_minus_one(
                 ExtendedRational.parse(args.pq))))
         return 0
-    except (DtCodeError, NotRealizable, MalformedWord, NotFound,
-            ValueError) as exc:
+    except (ValueError, NotFound) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,9 +17,10 @@ Loading parses each line against the schema and then runs
 census, and covers duplicates, the notation pair, status against
 ``dt_rep``, crossing numbers, the sign class and crossing range of
 every code, and the global counts.  A row that loads is checked; no
-caller validates again.  Only notations and codes are stored; derived
-quantities (Jones polynomials, genus, spans) are always recomputed
-downstream.
+caller validates again.  ``parse_corpus`` takes bytes already read, so
+a digest can hash what was verified.  Only notations and codes are
+stored; derived quantities (Jones polynomials, genus, spans) are always
+recomputed downstream.
 
 Each row also carries ``conway_check``, computed at load time:
 
@@ -56,6 +57,7 @@ __all__ = [
     "corpus_bytes",
     "corpus_sha256",
     "load_corpus",
+    "parse_corpus",
     "validate_corpus",
 ]
 
@@ -180,15 +182,19 @@ def _parse_line(lineno: int, line: str) -> CorpusRow:
 
 
 def load_corpus(source: str | Path | None = None) -> list[CorpusRow]:
-    """Parse and validate the corpus (embedded by default, or a file path).
+    """:func:`parse_corpus` of the corpus file (embedded by default);
+    raises OSError when the file cannot be read."""
+    return parse_corpus(corpus_bytes(source))
 
-    Raises OSError when the file cannot be read, SchemaError when it is
-    not UTF-8 text or a line does not parse, and whatever
-    :func:`validate_corpus` raises for the parsed rows.  The result
-    preserves file order.
+
+def parse_corpus(raw: bytes) -> list[CorpusRow]:
+    """Parse and validate the bytes of a corpus file, in file order.
+
+    Raises SchemaError when they are not UTF-8 text or a line does not
+    parse, and whatever :func:`validate_corpus` raises for the rows.
     """
     try:
-        text = corpus_bytes(source).decode("utf-8")
+        text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SchemaError(f"not UTF-8 text: {exc}") from exc
     rows = [_parse_line(lineno, line)

@@ -50,9 +50,10 @@ one mod 4: for a knot, <D> = (-A^3)^w V(A^-4) puts them all at 3w.  So
 the readout skips the zero digits below the lowest term with one
 shift, then takes one digit in four and checks that the three between
 are zero, raising NormalizationFailure otherwise.  Jones is the usual
-writhe normalization V = (-A)^(-3w) <D> rewritten in t = A^-4; the
-exponent division by 4 is asserted too, so a convention bug anywhere
-upstream fails loudly instead of producing a quietly wrong polynomial.
+writhe normalization V = (-A)^(-3w) <D> in t = A^-4; one check, on the
+lowest exponent, that all are 3w mod 4, means a convention bug upstream
+that breaks that congruence fails loudly instead of producing a quietly
+wrong polynomial.
 
 The Turaev genus of a connected diagram is g_T = (n + 2 - s_A - s_B) / 2,
 with s_A and s_B the circle counts of its all-A and all-B states (Dasbach,
@@ -90,8 +91,8 @@ class ZeroPolynomial(ValueError):
     """Span of the zero polynomial is undefined."""
 
 
-class NormalizationFailure(AssertionError):
-    """Bracket exponents not divisible by 4 after writhe correction."""
+class NormalizationFailure(ValueError):
+    """Bracket exponents that differ mod 4, or that are not 3w mod 4."""
 
 
 class BracketTooWide(ValueError):
@@ -273,23 +274,18 @@ def turaev_genus(pd: PlanarDiagram) -> int:
     return twice // 2
 
 
-def _to_t(p: LaurentPoly) -> LaurentPoly:
-    """Rewrite an A-polynomial in t = A^-4, asserting divisibility."""
-    for e, _ in p.terms:
-        if e % 4:
-            raise NormalizationFailure(
-                f"exponent {e} not divisible by 4 in {p.render()}"
-            )
-    return LaurentPoly("t", tuple((-e // 4, c) for e, c in reversed(p.terms)))
-
-
 def jones(pd: PlanarDiagram) -> LaurentPoly:
-    """Jones polynomial V = (-A)^(-3w) <D> in the variable t."""
+    """Jones polynomial V = (-A)^(-3w) <D> in the variable t; raises
+    NormalizationFailure unless the bracket's exponents are 3w mod 4."""
     br = bracket(pd)
     w = writhe(pd)
+    if br.terms and (br.terms[0][0] - 3 * w) % 4:
+        raise NormalizationFailure(
+            f"bracket of a {pd.n}-crossing diagram: exponent "
+            f"{br.terms[0][0]} is not 3w mod 4, w = {w}")
     sign = -1 if w % 2 else 1
-    shifted = tuple((e - 3 * w, sign * c) for e, c in br.terms)
-    return _to_t(LaurentPoly("A", shifted))
+    return LaurentPoly("t", tuple(((3 * w - e) // 4, sign * c)
+                                  for e, c in reversed(br.terms)))
 
 
 def span_t(p: LaurentPoly) -> int:

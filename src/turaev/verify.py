@@ -16,7 +16,7 @@ applicable check passes, FAILED otherwise.  Substitution failures on
 rows whose conway_check is "anomalous" downgrade to warnings: the row
 stays visible without masking the DT-level result.
 
-A stage that raises one of its known errors (``jones``: BracketTooWide,
+A stage that raises a ValueError (``jones``: BracketTooWide,
 NormalizationFailure; ``turaev_genus``: an impossible circle count)
 fails the checks it feeds, and the row gets a warning "<row>: <stage>
 raised <Type>: <message>"; the other rows still run.  Every diagram
@@ -36,14 +36,7 @@ from dataclasses import dataclass
 from . import __version__
 from .corpus import CorpusRow
 from .dt import SignKind, classify_signs
-from .poly import (
-    BracketTooWide,
-    NormalizationFailure,
-    equal_up_to_mirror,
-    jones,
-    span_t,
-    turaev_genus,
-)
+from .poly import equal_up_to_mirror, jones, span_t, turaev_genus
 from .realize import try_realize
 from .tangle import extract_substitutions, verify_substitution
 
@@ -121,14 +114,11 @@ def _check_substitutions(row: CorpusRow) -> tuple[str, tuple[str, ...]]:
     return FAIL, ()
 
 
-_JONES_ERRORS = (BracketTooWide, NormalizationFailure)
-
-
-def _stage(row: CorpusRow, stage: str, fn, errors, pd, warnings: list[str]):
-    """``fn(pd)``, or None with a warning when it raises one of ``errors``."""
+def _stage(row: CorpusRow, stage: str, fn, pd, warnings: list[str]):
+    """``fn(pd)``, or None with a warning when it raises ValueError."""
     try:
         return fn(pd)
-    except errors as exc:
+    except ValueError as exc:
         warnings.append(
             f"{row.name}: {stage} raised {type(exc).__name__}: {exc}")
         return None
@@ -146,12 +136,11 @@ def verify_row(row: CorpusRow) -> RowResult:
     d_min = try_realize(row.dt_min).diagram
     checks["realizable_min"] = PASS if d_min is not None else FAIL
     if d_min is not None:
-        j_min = _stage(row, "jones_min", jones, _JONES_ERRORS, d_min, warnings)
+        j_min = _stage(row, "jones_min", jones, d_min, warnings)
         if j_min is not None:
             jones_min = j_min.render()
             span = span_t(j_min)
-        genus_min = _stage(row, "genus_min", turaev_genus, ValueError,
-                           d_min, warnings)
+        genus_min = _stage(row, "genus_min", turaev_genus, d_min, warnings)
         checks["genus_min_at_least_1"] = (
             PASS if genus_min is not None and genus_min >= 1 else FAIL)
         checks["span_lt_crossing_number"] = (
@@ -166,13 +155,12 @@ def verify_row(row: CorpusRow) -> RowResult:
             PASS if kind is SignKind.ALMOST_ALTERNATING else FAIL)
         if d_rep is not None:
             if d_min is not None:
-                j_rep = _stage(row, "jones_rep", jones, _JONES_ERRORS,
-                               d_rep, warnings)
+                j_rep = _stage(row, "jones_rep", jones, d_rep, warnings)
                 match = (j_min is not None and j_rep is not None
                          and equal_up_to_mirror(j_min, j_rep))
                 checks["jones_match_up_to_mirror"] = PASS if match else FAIL
-            genus_rep = _stage(row, "genus_rep", turaev_genus, ValueError,
-                               d_rep, warnings)
+            genus_rep = _stage(row, "genus_rep", turaev_genus, d_rep,
+                               warnings)
             checks["genus_rep_equals_1"] = (
                 PASS if genus_rep == 1 else FAIL)
         checks["conway_substitutions_ok"], sub_warnings = (

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import turaev.corpus
+import turaev.poly
 from synthetic_census import census_lines, write_census
 from turaev.cli import main
 
@@ -65,6 +66,19 @@ class TestSingleShotCommands:
     def test_bad_dt_code_exits_2(self, capsys):
         assert main(["jones", "{{3},{4,6"]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value, code, message", [
+        # the trefoil has writhe -3: 0 puts its bracket off 3w mod 4
+        ("writhe", lambda pd: 0, "{{3},{4,6,2}}", "not 3w mod 4"),
+        ("_MAX_TABLES", 4, "{{12},{4,8,14,2,-18,16,6,20,22,-24,12,-10}}",
+         "over the cap of 4"),
+    ], ids=["normalization", "wide-bracket"])
+    def test_stage_fault_exits_2(self, capsys, monkeypatch, name, value,
+                                 code, message):
+        monkeypatch.setattr(turaev.poly, name, value)
+        assert main(["jones", code]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_tangle_synthesize_nonnegative(self, capsys):
         # no -1 entry: the plain continued-fraction word
@@ -158,6 +172,27 @@ class TestVerifyPlumbing:
         summary = doc["summary"]
         assert summary["verified"] + summary["failed"] + summary["open"] == 192
         assert codes == {1 if summary["failed"] else 0}
+        assert "192 rows" in capsys.readouterr().err
+
+    def test_census_read_once_and_digest_of_parsed_bytes(
+            self, capsys, monkeypatch, tmp_path):
+        census = write_census(tmp_path)
+        reads = []
+        read_bytes = Path.read_bytes
+
+        def counted(path):
+            if path == census:
+                reads.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", counted)
+        report = tmp_path / "report.json"
+        main(["verify", "--corpus", str(census), "--report", str(report),
+              "--format", "json"])
+        assert len(reads) == 1
+        doc = json.loads(report.read_text(encoding="utf-8"))
+        assert doc["corpus_digest"] == hashlib.sha256(
+            read_bytes(census)).hexdigest()
         assert "192 rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["duplicate", "half-present", "191 rows"])

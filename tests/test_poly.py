@@ -48,7 +48,6 @@ from turaev.poly import (
     NormalizationFailure,
     ZeroPolynomial,
     _frontier_order,
-    _to_t,
     bracket,
     equal_up_to_mirror,
     jones,
@@ -347,9 +346,19 @@ class TestJones:
         bound = 1 << (2 * pd.n)
         assert all(abs(c) < bound for _, c in v.terms)
 
-    def test_normalization_failure_on_odd_exponent(self) -> None:
-        with pytest.raises(NormalizationFailure):
-            _to_t(LaurentPoly("A", ((-6, 1),)))
+    def test_normalization_failure_on_odd_exponent(self, monkeypatch) -> None:
+        # the trefoil's bracket exponents are 3w = -9 mod 4, so with a
+        # writhe of 0 jones must reject them, not divide through
+        pd = realize(parse_dt(TREFOIL))
+        monkeypatch.setattr(turaev.poly, "writhe", lambda pd: 0)
+        with pytest.raises(NormalizationFailure,
+                           match="exponent -5 is not 3w mod 4, w = 0"):
+            jones(pd)
+
+    def test_empty_bracket_gives_zero_jones(self, monkeypatch) -> None:
+        monkeypatch.setattr(turaev.poly, "bracket",
+                            lambda pd: LaurentPoly("A", ()))
+        assert jones(realize(parse_dt(TREFOIL))) == LaurentPoly("t", ())
 
 
 class TestSpanAndMirrorComparison:

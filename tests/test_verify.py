@@ -169,6 +169,19 @@ class TestFaultContainment:
         assert narrow.jones_min == "-1*t^-4 + 1*t^-3 + 1*t^-1"
         assert f"warning: {wide.warnings[0]}\n" in render_text(report)
 
+    def test_normalization_failure_fails_the_jones_checks(self, monkeypatch):
+        # the trefoil has writhe -3, so its bracket is 3, not 0, mod 4
+        monkeypatch.setattr(turaev.poly, "writhe", lambda pd: 0)
+        res = verify_row(_row(dt_rep=TREFOIL))
+        assert res.verdict == "FAILED"
+        assert res.checks["jones_match_up_to_mirror"] == FAIL
+        assert res.checks["span_lt_crossing_number"] == FAIL
+        assert res.checks["genus_min_at_least_1"] == FAIL  # the trefoil has g_T = 0
+        assert res.jones_min == "" and res.span is None
+        assert [w.split(": bracket")[0] for w in res.warnings] == [
+            "K3n1: jones_min raised NormalizationFailure",
+            "K3n1: jones_rep raised NormalizationFailure"]
+
     def test_impossible_genus_count_fails_its_checks(self, monkeypatch):
         def impossible(pd):
             raise ValueError(f"impossible loop counts for n={pd.n}")
