@@ -36,7 +36,6 @@ Each row also carries ``conway_check``, computed at load time:
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -50,12 +49,8 @@ __all__ = [
     "CorpusRow",
     "CorpusSummary",
     "CorpusError",
-    "SchemaError",
-    "CountMismatch",
-    "ValidationError",
     "EMBEDDED_CORPUS",
     "corpus_bytes",
-    "corpus_sha256",
     "load_corpus",
     "parse_corpus",
     "validate_corpus",
@@ -63,19 +58,9 @@ __all__ = [
 
 
 class CorpusError(ValueError):
-    """Base class for corpus loading and validation failures."""
-
-
-class SchemaError(CorpusError):
-    """A line does not parse as a corpus record."""
-
-
-class CountMismatch(CorpusError):
-    """Global row counts differ from the published totals."""
-
-
-class ValidationError(CorpusError):
-    """A loaded row violates one of its invariants."""
+    """A line that does not parse as a corpus record, a row that breaks
+    one of its invariants, or counts other than the published totals;
+    the message names the line or row and the rule."""
 
 
 # Rows whose printed Conway rewrite is internally inconsistent (the
@@ -137,10 +122,6 @@ def corpus_bytes(source: str | Path | None = None) -> bytes:
     return Path(source).read_bytes()
 
 
-def corpus_sha256(source: str | Path | None = None) -> str:
-    return hashlib.sha256(corpus_bytes(source)).hexdigest()
-
-
 def _conway_check(name: str, conway_min: str, conway_rep: str | None) -> str:
     if name in ANOMALOUS_ROWS:
         return "anomalous"
@@ -153,22 +134,22 @@ def _conway_check(name: str, conway_min: str, conway_rep: str | None) -> str:
 def _parse_line(lineno: int, line: str) -> CorpusRow:
     fields = line.split("\t")
     if len(fields) != 7:
-        raise SchemaError(f"line {lineno}: expected 7 tab-separated fields, "
+        raise CorpusError(f"line {lineno}: expected 7 tab-separated fields, "
                           f"got {len(fields)}")
     name, status, conway_min, conway_rep, dt_min, dt_rep, source = fields
     if not _NAME_RE.fullmatch(name):
-        raise SchemaError(f"line {lineno}: bad name {name!r}")
+        raise CorpusError(f"line {lineno}: bad name {name!r}")
     if status not in _STATUSES:
-        raise SchemaError(f"line {lineno}: bad status {status!r}")
+        raise CorpusError(f"line {lineno}: bad status {status!r}")
     if source not in _SOURCES:
-        raise SchemaError(f"line {lineno}: bad source {source!r}")
+        raise CorpusError(f"line {lineno}: bad source {source!r}")
     if not conway_min or not dt_min:
-        raise SchemaError(f"line {lineno}: conway_min and dt_min are required")
+        raise CorpusError(f"line {lineno}: conway_min and dt_min are required")
     try:
         code_min = parse_dt(dt_min)
         code_rep = parse_dt(dt_rep) if dt_rep else None
     except DtCodeError as exc:
-        raise SchemaError(f"line {lineno}: {exc}") from exc
+        raise CorpusError(f"line {lineno}: {exc}") from exc
     return CorpusRow(
         name=name,
         status=status,
@@ -190,13 +171,13 @@ def load_corpus(source: str | Path | None = None) -> list[CorpusRow]:
 def parse_corpus(raw: bytes) -> list[CorpusRow]:
     """Parse and validate the bytes of a corpus file, in file order.
 
-    Raises SchemaError when they are not UTF-8 text or a line does not
-    parse, and whatever :func:`validate_corpus` raises for the rows.
+    Raises CorpusError when they are not UTF-8 text, when a line does
+    not parse, or when :func:`validate_corpus` refuses the rows.
     """
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"not UTF-8 text: {exc}") from exc
+        raise CorpusError(f"not UTF-8 text: {exc}") from exc
     rows = [_parse_line(lineno, line)
             for lineno, line in enumerate(text.splitlines(), start=1)
             if line.strip() and not line.lstrip().startswith("#")]
@@ -207,48 +188,47 @@ def parse_corpus(raw: bytes) -> list[CorpusRow]:
 def validate_corpus(rows: list[CorpusRow]) -> CorpusSummary:
     """Check every row invariant in file order; return the count summary.
 
-    The first offending row raises ValidationError for a duplicate
-    name, a half-present notation pair, a status that disagrees with
-    ``dt_rep``, a code's crossing number, range or sign class, or a bad
-    ``conway_check``, and CountMismatch for a crossing number other
-    than 11 or 12.  When
-    every row passes, CountMismatch reports totals that differ from the
+    The first offending row raises CorpusError for a duplicate name, a
+    half-present notation pair, a status that disagrees with
+    ``dt_rep``, a code's crossing number, range or sign class, a bad
+    ``conway_check`` or a crossing number other than 11 or 12.  When
+    every row passes, CorpusError reports totals that differ from the
     published ones.
     """
     seen: set[str] = set()
     got = dict.fromkeys(_EXPECTED, 0)
     for r in rows:
         if r.name in seen:
-            raise ValidationError(f"{r.name}: duplicate row")
+            raise CorpusError(f"{r.name}: duplicate row")
         seen.add(r.name)
         if (r.status == "resolved") != (r.dt_rep is not None):
-            raise ValidationError(f"{r.name}: status {r.status} inconsistent "
-                                  f"with dt_rep presence")
+            raise CorpusError(f"{r.name}: status {r.status} inconsistent "
+                              f"with dt_rep presence")
         # the two notation columns were merged into one record per name;
         # a half-present pair means the merge lost a row
         if (r.dt_rep is None) != (r.conway_rep is None):
-            raise ValidationError(f"{r.name}: notation pair half-present")
+            raise CorpusError(f"{r.name}: notation pair half-present")
         if r.dt_min.n != r.crossing_number:
-            raise ValidationError(f"{r.name}: dt_min has {r.dt_min.n} "
-                                  f"crossings, name implies "
-                                  f"{r.crossing_number}")
+            raise CorpusError(f"{r.name}: dt_min has {r.dt_min.n} "
+                              f"crossings, name implies "
+                              f"{r.crossing_number}")
         if classify_signs(r.dt_min).kind != SignKind.OTHER:
-            raise ValidationError(f"{r.name}: dt_min does not classify Other")
+            raise CorpusError(f"{r.name}: dt_min does not classify Other")
         if r.dt_rep is not None:
             if not 13 <= r.dt_rep.n <= 17:
-                raise ValidationError(f"{r.name}: dt_rep has {r.dt_rep.n} "
-                                      f"crossings, outside [13, 17]")
+                raise CorpusError(f"{r.name}: dt_rep has {r.dt_rep.n} "
+                                  f"crossings, outside [13, 17]")
             if classify_signs(r.dt_rep).kind != SignKind.ALMOST_ALTERNATING:
-                raise ValidationError(f"{r.name}: dt_rep does not classify "
-                                      f"AlmostAlternating")
+                raise CorpusError(f"{r.name}: dt_rep does not classify "
+                                  f"AlmostAlternating")
         if r.conway_check not in ("applicable", "not-alignable", "anomalous"):
-            raise ValidationError(f"{r.name}: bad conway_check "
-                                  f"{r.conway_check!r}")
+            raise CorpusError(f"{r.name}: bad conway_check "
+                              f"{r.conway_check!r}")
         key = f"{r.status}_{r.crossing_number}"
         if key not in got:
-            raise CountMismatch(f"{r.name}: unexpected crossing number "
-                                f"{r.crossing_number}")
+            raise CorpusError(f"{r.name}: unexpected crossing number "
+                              f"{r.crossing_number}")
         got[key] += 1
     if got != _EXPECTED:
-        raise CountMismatch(f"row counts {got} != expected {_EXPECTED}")
+        raise CorpusError(f"row counts {got} != expected {_EXPECTED}")
     return CorpusSummary(**got)

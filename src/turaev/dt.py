@@ -34,9 +34,6 @@ __all__ = [
     "SignClass",
     "SignKind",
     "DtCodeError",
-    "MalformedSyntax",
-    "LengthMismatch",
-    "InvalidPermutation",
     "parse_dt",
     "format_dt",
     "classify_signs",
@@ -44,19 +41,8 @@ __all__ = [
 
 
 class DtCodeError(ValueError):
-    """Base class for DT code failures."""
-
-
-class MalformedSyntax(DtCodeError):
-    """Input text does not match the {{n},{...}} shape."""
-
-
-class LengthMismatch(DtCodeError):
-    """Declared crossing count disagrees with the number of labels."""
-
-
-class InvalidPermutation(DtCodeError):
-    """Labels are not a signed arrangement of the evens 2..2n."""
+    """Text that is not a DT code, or labels that are not a signed
+    arrangement of the evens 2..2n; the message names the rule."""
 
 
 @dataclass(frozen=True)
@@ -72,20 +58,20 @@ class DtCode:
 
     def __post_init__(self) -> None:
         if self.n < 0:
-            raise InvalidPermutation(f"negative crossing count {self.n}")
+            raise DtCodeError(f"negative crossing count {self.n}")
         if len(self.labels) != self.n:
-            raise LengthMismatch(
+            raise DtCodeError(
                 f"declared {self.n} crossings but got {len(self.labels)} labels"
             )
         seen: set[int] = set()
         for a in self.labels:
             m = abs(a)
             if m == 0 or m % 2 != 0:
-                raise InvalidPermutation(f"label {a} is not a nonzero even number")
+                raise DtCodeError(f"label {a} is not a nonzero even number")
             if m > 2 * self.n:
-                raise InvalidPermutation(f"label {a} exceeds 2n = {2 * self.n}")
+                raise DtCodeError(f"label {a} exceeds 2n = {2 * self.n}")
             if m in seen:
-                raise InvalidPermutation(f"label magnitude {m} repeats")
+                raise DtCodeError(f"label magnitude {m} repeats")
             seen.add(m)
 
     def __str__(self) -> str:
@@ -115,13 +101,13 @@ _DT_RE = re.compile(
 def parse_dt(text: str) -> DtCode:
     """Parse ``{{n},{a_1,...,a_n}}`` text into a validated DtCode.
 
-    Raises MalformedSyntax for shape problems, LengthMismatch when the
-    declared n disagrees with the label count, InvalidPermutation when
-    the labels are not signed evens 2..2n with distinct magnitudes.
+    Raises DtCodeError when the text is not of that shape, when the
+    declared n disagrees with the label count, or when the labels are
+    not signed evens 2..2n with distinct magnitudes.
     """
     m = _DT_RE.match(text)
     if m is None:
-        raise MalformedSyntax(f"not of the form {{{{n}},{{a1,...,an}}}}: {text!r}")
+        raise DtCodeError(f"not of the form {{{{n}},{{a1,...,an}}}}: {text!r}")
     n = int(m.group(1))
     body = m.group(2).strip()
     labels: tuple[int, ...]

@@ -75,7 +75,6 @@ from .realize import PlanarDiagram, orbit_count
 
 __all__ = [
     "LaurentPoly",
-    "ZeroPolynomial",
     "NormalizationFailure",
     "BracketTooWide",
     "bracket",
@@ -85,10 +84,6 @@ __all__ = [
     "span_t",
     "equal_up_to_mirror",
 ]
-
-
-class ZeroPolynomial(ValueError):
-    """Span of the zero polynomial is undefined."""
 
 
 class NormalizationFailure(ValueError):
@@ -140,7 +135,7 @@ class LaurentPoly:
 
     def span(self) -> int:
         if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no span")
+            raise ValueError("zero polynomial has no span")
         return self.terms[-1][0] - self.terms[0][0]
 
     def render(self) -> str:

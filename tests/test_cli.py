@@ -133,6 +133,24 @@ def test_runs_without_numpy():
     assert proc.stdout.strip() == "-1*t^-4 + 1*t^-3 + 1*t^-1"
 
 
+def test_imports_only_the_standard_library():
+    # -S leaves site-packages off the path; the script prints every
+    # module the import brought in that is neither turaev nor stdlib
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import turaev.cli\n"
+        "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
+        "print(sorted(new - {'turaev'} - sys.stdlib_module_names))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestVerifyPlumbing:
     def test_missing_corpus_path_exits_1(self, capsys, tmp_path):
         rc = main(["verify", "--corpus", str(tmp_path / "nope.tsv")])

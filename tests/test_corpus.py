@@ -1,6 +1,6 @@
 """Corpus schema, row invariant, count, and validation behavior.
 
-Synthetic corpora exercise every failure class through temporary
+Synthetic corpora exercise every failure message through temporary
 files; the embedded corpus is checked for its published shape (row
 counts per status and crossing number, required columns, derived
 conway_check values).  The embedded-corpus tests skip while
@@ -10,6 +10,7 @@ conway_check values).  The embedded-corpus tests skip while
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -21,12 +22,9 @@ from turaev.corpus import (
     CorpusError,
     CorpusRow,
     CorpusSummary,
-    CountMismatch,
-    SchemaError,
-    ValidationError,
     _conway_check,
     _parse_line,
-    corpus_sha256,
+    corpus_bytes,
     load_corpus,
     validate_corpus,
 )
@@ -51,33 +49,40 @@ class TestParseLine:
         assert row.source == "table1+2"
 
     def test_field_count(self):
-        with pytest.raises(SchemaError, match="7 tab-separated"):
+        with pytest.raises(CorpusError, match="line 3: expected 7 tab-separated fields, got 3"):
             _parse_line(3, "K12n1\tresolved\tonly")
 
     def test_bad_name(self):
-        with pytest.raises(SchemaError, match="bad name"):
+        with pytest.raises(CorpusError, match="line 1: bad name 'L12a1'"):
             _parse_line(1, GOOD.replace("K12n1", "L12a1"))
 
     def test_name_with_trailing_newline(self):
-        with pytest.raises(SchemaError, match="bad name"):
+        with pytest.raises(CorpusError, match=r"line 1: bad name 'K12n1\\n'"):
             _parse_line(1, GOOD.replace("K12n1", "K12n1\n"))
 
     def test_bad_status(self):
-        with pytest.raises(SchemaError, match="bad status"):
+        with pytest.raises(CorpusError, match="line 1: bad status 'maybe'"):
             _parse_line(1, GOOD.replace("resolved", "maybe"))
 
     def test_bad_source(self):
-        with pytest.raises(SchemaError, match="bad source"):
+        with pytest.raises(CorpusError, match="line 1: bad source 'table9'"):
             _parse_line(1, GOOD.replace("table1+2", "table9"))
 
     def test_bad_dt_syntax(self):
-        with pytest.raises(SchemaError, match="line 1"):
+        with pytest.raises(CorpusError, match="line 1: not of the form"):
             _parse_line(1, GOOD.replace("{{13},", "{{13,", 1))
+
+    def test_empty_conway_min(self):
+        fields = GOOD.split("\t")
+        fields[2] = ""
+        with pytest.raises(CorpusError,
+                           match="line 1: conway_min and dt_min are required"):
+            _parse_line(1, "\t".join(fields))
 
     def test_half_present_pair(self, tmp_path):
         fields = GOOD.split("\t")
         fields[3] = ""
-        with pytest.raises(ValidationError, match="K12n1: notation pair half-present"):
+        with pytest.raises(CorpusError, match="K12n1: notation pair half-present"):
             _load_lines(tmp_path, "\t".join(fields))
 
     def test_fuzzed_line_raises_only_corpus_errors(self):
@@ -104,7 +109,7 @@ class TestLoadCorpus:
     def test_comments_and_blanks_skipped(self, tmp_path):
         # the single data row parses fine, so the complaint is about
         # global counts, not about the comment lines
-        with pytest.raises(CountMismatch, match="row counts"):
+        with pytest.raises(CorpusError, match="row counts"):
             _load_lines(tmp_path, "# header", "", "  ", GOOD)
 
     def test_synthetic_census_loads(self, tmp_path):
@@ -115,25 +120,25 @@ class TestLoadCorpus:
     def test_non_utf8_file(self, tmp_path):
         f = tmp_path / "corpus.tsv"
         f.write_bytes(GOOD.encode("utf-8").replace(b"2 1", b"2\xff1", 1))
-        with pytest.raises(SchemaError, match="not UTF-8"):
+        with pytest.raises(CorpusError, match="not UTF-8 text"):
             load_corpus(f)
 
     def test_duplicate_names(self, tmp_path):
-        with pytest.raises(ValidationError, match="K12n1: duplicate row"):
+        with pytest.raises(CorpusError, match="K12n1: duplicate row"):
             _load_lines(tmp_path, GOOD, GOOD)
 
     def test_unexpected_crossing_number(self, tmp_path):
         bad = GOOD.replace("K12n1", "K9n1").replace(
             "{{12},{4,6,8,10,-12,14,16,18,-20,22,24,2}}",
             "{{9},{4,6,8,-10,12,14,16,-18,2}}")
-        with pytest.raises(CountMismatch, match="unexpected crossing"):
+        with pytest.raises(CorpusError, match="K9n1: unexpected crossing number 9"):
             _load_lines(tmp_path, bad)
 
     def test_file_named_embedded_is_read(self, tmp_path, monkeypatch):
         # a path is a path: no source name stands for the packaged census
         (tmp_path / "embedded").write_text(GOOD + "\n", encoding="utf-8")
         monkeypatch.chdir(tmp_path)
-        with pytest.raises(CountMismatch):
+        with pytest.raises(CorpusError, match="row counts"):
             load_corpus("embedded")
 
 
@@ -150,32 +155,32 @@ def _mkrow(**kw):
 
 class TestValidateCorpus:
     def test_duplicate_rows(self):
-        with pytest.raises(ValidationError, match="duplicate"):
+        with pytest.raises(CorpusError, match="K12n1: duplicate row"):
             validate_corpus([_mkrow(), _mkrow()])
 
     def test_status_rep_mismatch(self):
-        with pytest.raises(ValidationError, match="inconsistent"):
+        with pytest.raises(CorpusError, match="K12n1: status open inconsistent with dt_rep presence"):
             validate_corpus([_mkrow(status="open")])
 
     def test_crossing_number_mismatch(self):
-        with pytest.raises(ValidationError, match="name implies"):
+        with pytest.raises(CorpusError, match="K11n1: dt_min has 12 crossings, name implies 11"):
             validate_corpus([_mkrow(name="K11n1")])
 
     def test_min_code_must_classify_other(self):
         alternating = parse_dt(
             "{{12},{4,6,8,10,12,14,16,18,20,22,24,2}}")
-        with pytest.raises(ValidationError, match="classify Other"):
+        with pytest.raises(CorpusError, match="K12n1: dt_min does not classify Other"):
             validate_corpus([_mkrow(dt_min=alternating)])
 
     def test_rep_code_crossing_range(self):
         small = parse_dt("{{12},{-4,6,8,10,12,14,16,18,20,22,24,2}}")
-        with pytest.raises(ValidationError, match=r"outside \[13, 17\]"):
+        with pytest.raises(CorpusError, match=r"K12n1: dt_rep has 12 crossings, outside \[13, 17\]"):
             validate_corpus([_mkrow(dt_rep=small)])
 
     def test_rep_code_must_classify_almost_alternating(self):
         alternating = parse_dt(
             "{{13},{4,6,8,10,12,14,16,18,20,22,24,26,2}}")
-        with pytest.raises(ValidationError, match="AlmostAlternating"):
+        with pytest.raises(CorpusError, match="K12n1: dt_rep does not classify AlmostAlternating"):
             validate_corpus([_mkrow(dt_rep=alternating)])
 
 
@@ -205,7 +210,7 @@ class TestEmbeddedCorpus:
         assert summary.open_11 == 2
 
     def test_digest_is_stable_string(self):
-        d = corpus_sha256()
+        d = hashlib.sha256(corpus_bytes()).hexdigest()
         assert len(d) == 64 and set(d) <= set("0123456789abcdef")
 
     def test_known_rows(self):

@@ -7,9 +7,6 @@ import pytest
 from turaev.dt import (
     DtCode,
     DtCodeError,
-    InvalidPermutation,
-    LengthMismatch,
-    MalformedSyntax,
     SignKind,
     classify_signs,
     format_dt,
@@ -60,7 +57,7 @@ def test_format_is_canonical() -> None:
     ],
 )
 def test_parse_rejects_malformed(text: str) -> None:
-    with pytest.raises(MalformedSyntax):
+    with pytest.raises(DtCodeError, match="not of the form"):
         parse_dt(text)
 
 
@@ -83,23 +80,31 @@ def test_fuzzed_text_raises_only_documented_errors() -> None:
 
 
 def test_parse_rejects_length_mismatch() -> None:
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DtCodeError, match="declared 3 crossings but got 2 labels"):
         parse_dt("{{3},{4,6}}")
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DtCodeError, match="declared 2 crossings but got 3 labels"):
         parse_dt("{{2},{4,6,2}}")
 
 
+def test_negative_crossing_count() -> None:
+    with pytest.raises(DtCodeError, match="negative crossing count -1"):
+        DtCode(-1, ())
+
+
 @pytest.mark.parametrize(
-    "text",
+    ("text", "message"),
     [
-        "{{3},{4,6,8}}",  # 8 > 2n
-        "{{3},{4,6,3}}",  # odd label
-        "{{3},{4,6,0}}",  # zero label
-        "{{3},{4,6,-4}}",  # repeated magnitude
+        pytest.param(text, message, id=text)
+        for text, message in [
+            ("{{3},{4,6,8}}", "label 8 exceeds 2n = 6"),
+            ("{{3},{4,6,3}}", "label 3 is not a nonzero even number"),
+            ("{{3},{4,6,0}}", "label 0 is not a nonzero even number"),
+            ("{{3},{4,6,-4}}", "label magnitude 4 repeats"),
+        ]
     ],
 )
-def test_parse_rejects_bad_permutations(text: str) -> None:
-    with pytest.raises(InvalidPermutation):
+def test_parse_rejects_bad_permutations(text: str, message: str) -> None:
+    with pytest.raises(DtCodeError, match=message):
         parse_dt(text)
 
 

@@ -14,17 +14,18 @@ values pin the conventions: the canonical kink realization brackets to
 -A^-3 (so its Jones is 1), and the trefoil's Jones is
 -t^-4 + t^-3 + t^-1 up to mirror with span 3.
 On diagrams up to 17 crossings and on the long braid closures below,
-every Jones polynomial satisfies V(1) = 1, V(e^(2 pi i/3)) = 1 and
-span V <= n - g_T(D), V(-1) = (-1)^(sigma / 2) det with det and sigma
-the determinant and the Gordon-Litherland signature of the Goeritz
-matrix, and V(i) is -1 exactly when that determinant is 3 or 5 mod 8
-(the Arf invariant).  That matrix comes from a face walk and
-checkerboard colouring that share no code with the state sums, so the
-check ties the polynomial layer to a second model of the same
-diagram; both colourings give the same signature, and a mirror
-negates it.  Shuffling the crossing storage sends the contraction through
-a different order and must not change the bracket.  Closed alternating
-4-braids at n = 41, 61 and 81, stored in DT order, check
+every Jones polynomial satisfies V(1) = 1, V'(1) = 0,
+V(e^(2 pi i/3)) = 1 and span V <= n - g_T(D), V(-1) =
+(-1)^(sigma / 2) det with det and sigma the determinant and the
+Gordon-Litherland signature of the Goeritz matrix, and V(i) is -1
+exactly when that determinant is 3 or 5 mod 8 (the Arf invariant).
+That matrix comes from a face walk and checkerboard colouring that
+share no code with the state sums, so the check ties the polynomial
+layer to a second model of the same diagram; both colourings give the
+same signature, and a mirror negates it.  Shuffling the crossing
+storage sends the contraction through a different order and must not
+change the bracket.  Closed alternating 4-braids at n = 41, 61 and
+81, stored in DT order, check
 Kauffman-Murasugi-Thistlethwaite (span V = n on a reduced alternating
 diagram) at a size where storage order blows up, and ``realize``
 rebuilds each of them, and its one-crossing switch, from the DT code
@@ -46,7 +47,6 @@ from turaev.poly import (
     BracketTooWide,
     LaurentPoly,
     NormalizationFailure,
-    ZeroPolynomial,
     _frontier_order,
     bracket,
     equal_up_to_mirror,
@@ -118,8 +118,14 @@ def _random_diagrams(seed: int, count: int, max_n: int) -> list[PlanarDiagram]:
     return out
 
 
+def _derivative_at_one(v: LaurentPoly) -> int:
+    """V'(1), which is 0 for every knot: a writhe that is off by a
+    multiple of 4 keeps V(1) = 1 but shifts V and breaks this."""
+    return sum(e * c for e, c in v.terms)
+
+
 def _assert_knot_values(pd: PlanarDiagram, v: LaurentPoly) -> None:
-    """V(1) = 1, V(omega) = 1 for omega = e^(2 pi i/3),
+    """V(1) = 1, V'(1) = 0, V(omega) = 1 for omega = e^(2 pi i/3),
     V(-1) = (-1)^(sigma / 2) det with det and sigma the Goeritz
     determinant and signature of ``pd``, and V(i) = (-1)^Arf.
 
@@ -132,6 +138,7 @@ def _assert_knot_values(pd: PlanarDiagram, v: LaurentPoly) -> None:
     Both checkerboard colourings must give the same signature.
     """
     assert sum(c for _, c in v.terms) == 1
+    assert _derivative_at_one(v) == 0
     a = [0, 0, 0]
     for e, c in v.terms:
         a[e % 3] += c
@@ -184,7 +191,7 @@ class TestLaurentPoly:
     def test_span(self) -> None:
         assert LaurentPoly.one("t").span() == 0
         assert _poly({-4: -1, -1: 1}).span() == 3
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(ValueError, match="zero polynomial has no span"):
             LaurentPoly("t", ()).span()
 
 
@@ -355,6 +362,18 @@ class TestJones:
                            match="exponent -5 is not 3w mod 4, w = 0"):
             jones(pd)
 
+    def test_writhe_off_by_four_breaks_only_the_derivative(self, monkeypatch) -> None:
+        # w + 4 keeps every exponent 3w mod 4, so jones raises nothing
+        # and returns t^3 V; V(1) is still 1, V'(1) is 3 instead of 0
+        pd = realize(parse_dt(TREFOIL))
+        true_v = jones(pd)
+        monkeypatch.setattr(turaev.poly, "writhe", lambda d: writhe(d) + 4)
+        v = jones(pd)
+        assert v.render() == "-1*t^-1 + 1*t^0 + 1*t^2"
+        assert sum(c for _, c in v.terms) == 1
+        assert _derivative_at_one(true_v) == 0
+        assert _derivative_at_one(v) == 3
+
     def test_empty_bracket_gives_zero_jones(self, monkeypatch) -> None:
         monkeypatch.setattr(turaev.poly, "bracket",
                             lambda pd: LaurentPoly("A", ()))
@@ -366,7 +385,7 @@ class TestSpanAndMirrorComparison:
         assert span_t(LaurentPoly.one("t")) == 0
         with pytest.raises(ValueError):
             span_t(LaurentPoly.one("A"))
-        with pytest.raises(ZeroPolynomial):
+        with pytest.raises(ValueError, match="zero polynomial has no span"):
             span_t(LaurentPoly("t", ()))
 
     def test_equal_up_to_mirror(self) -> None:
