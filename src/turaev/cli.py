@@ -10,12 +10,16 @@ inside the package and is overridable only by the --corpus flag.
 Exit codes: 0 on success (for `verify`: zero FAILED rows), 1 when
 verification fails or the corpus does not validate, 2 on bad input or
 a stage fault on the diagram (under `verify`, that fails only its row).
+A `--report` path that cannot be opened is bad input, found before any
+row runs.  A word or fraction may start with a minus ("-2-1", "-3/5").
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import re
 import sys
 
 from .corpus import CorpusError, corpus_bytes, parse_corpus
@@ -46,8 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="TSV corpus path (default: embedded)")
     p_verify.add_argument("--report", metavar="PATH", default=None,
                           help="write the report here instead of stdout")
-    p_verify.add_argument("--format", choices=("text", "json", "csv"),
-                          default="text")
+    p_verify.add_argument("--format", choices=RENDERERS, default="text")
 
     for name, help_text in (
             ("jones", "Jones polynomial of a DT code"),
@@ -68,9 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
              "a single -1, for P/Q >= 0 the plain continued-fraction word")
     p_syn.add_argument("pq", metavar="P/Q",
                        help='a finite rational, e.g. "-3/5" or "7/3"')
-    # let a leading minus read as a fraction, not an option flag
-    import re
-    p_syn._negative_number_matcher = re.compile(r"^-\d+(/-?\d+)?$")
+    # let a leading minus and digit read as a word or fraction, not an
+    # option flag; neither parser has an option spelled that way
+    for p in (p_frac, p_syn):
+        p._negative_number_matcher = re.compile(r"^-\d")
     return parser
 
 
@@ -81,13 +85,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except (CorpusError, OSError) as exc:
         print(f"corpus error: {exc}", file=sys.stderr)
         return 1
-    report = verify_all(rows, corpus_digest=hashlib.sha256(raw).hexdigest())
-    body = RENDERERS[args.format](report)
-    if args.report is None:
-        sys.stdout.write(body)
-    else:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(body)
+    try:
+        out = (contextlib.nullcontext(sys.stdout) if args.report is None
+               else open(args.report, "w", encoding="utf-8"))
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with out as fh:
+        report = verify_all(rows,
+                            corpus_digest=hashlib.sha256(raw).hexdigest())
+        fh.write(RENDERERS[args.format](report))
     print(f"{report.total} rows in {report.duration_s:.1f}s", file=sys.stderr)
     return 0 if report.failed == 0 else 1
 

@@ -16,11 +16,12 @@ Loading parses each line against the schema and then runs
 :func:`validate_corpus` once over the rows: it is the one checker of a
 census, and covers duplicates, the notation pair, status against
 ``dt_rep``, crossing numbers, the sign class and crossing range of
-every code, and the global counts.  A row that loads is checked; no
-caller validates again.  ``parse_corpus`` takes bytes already read, so
-a digest can hash what was verified.  Only notations and codes are
-stored; derived quantities (Jones polynomials, genus, spans) are always
-recomputed downstream.
+every code, and the counts by status and crossing number, which must
+equal the published totals (``_EXPECTED``), so it returns nothing.  A
+row that loads is checked; no caller validates again.  ``parse_corpus``
+takes bytes already read, so a digest can hash what was verified.  Only
+notations and codes are stored; derived quantities (Jones polynomials,
+genus, spans) are always recomputed downstream.
 
 Each row also carries ``conway_check``, computed at load time:
 
@@ -47,7 +48,6 @@ from .tangle import extract_substitutions
 __all__ = [
     "ANOMALOUS_ROWS",
     "CorpusRow",
-    "CorpusSummary",
     "CorpusError",
     "EMBEDDED_CORPUS",
     "corpus_bytes",
@@ -95,16 +95,6 @@ class CorpusRow:
     @property
     def crossing_number(self) -> int:
         return int(_NAME_RE.fullmatch(self.name).group(1))
-
-
-@dataclass(frozen=True)
-class CorpusSummary:
-    """Counts by status and crossing number."""
-
-    resolved_12: int
-    open_12: int
-    resolved_11: int
-    open_11: int
 
 
 def corpus_bytes(source: str | Path | None = None) -> bytes:
@@ -185,8 +175,8 @@ def parse_corpus(raw: bytes) -> list[CorpusRow]:
     return rows
 
 
-def validate_corpus(rows: list[CorpusRow]) -> CorpusSummary:
-    """Check every row invariant in file order; return the count summary.
+def validate_corpus(rows: list[CorpusRow]) -> None:
+    """Check every row invariant in file order; None when all hold.
 
     The first offending row raises CorpusError for a duplicate name, a
     half-present notation pair, a status that disagrees with
@@ -231,4 +221,3 @@ def validate_corpus(rows: list[CorpusRow]) -> CorpusSummary:
         got[key] += 1
     if got != _EXPECTED:
         raise CorpusError(f"row counts {got} != expected {_EXPECTED}")
-    return CorpusSummary(**got)

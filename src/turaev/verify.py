@@ -12,9 +12,10 @@ entry is a single -1.
 Check values are the strings "pass", "fail", "not-applicable".  Rows
 with status "open" yield verdict OPEN and run only the checks that
 need no representative diagram.  A resolved row is VERIFIED when every
-applicable check passes, FAILED otherwise.  Substitution failures on
-rows whose conway_check is "anomalous" downgrade to warnings: the row
-stays visible without masking the DT-level result.
+check passes or is not applicable, FAILED when any check fails.
+Substitution failures on rows whose conway_check is "anomalous"
+downgrade to warnings: the row stays visible without masking the
+DT-level result.
 
 A stage that raises a ValueError (``jones``: BracketTooWide,
 NormalizationFailure; ``turaev_genus``: an impossible circle count)
@@ -23,14 +24,20 @@ raised <Type>: <message>"; the other rows still run.  Every diagram
 comes from ``realize``, so it has already passed ``end_mates``, the one
 structural check of a diagram.
 
+A report row is the name, the verdict, one column per CHECK_NAMES
+entry and one per VALUE_COLUMNS entry, in that order in JSON and CSV;
+the text line keeps its own order and shows only what is set.
 Rendered report bodies (text, JSON, CSV) exclude the wall-clock
 duration, so two runs over the same corpus are byte identical.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from . import __version__
@@ -54,6 +61,9 @@ CHECK_NAMES = (
     "span_lt_crossing_number",
     "conway_substitutions_ok",
 )
+
+# RowResult fields after the checks; None renders as null, or "" in CSV
+VALUE_COLUMNS = ("jones_min", "span", "genus_min", "genus_rep")
 
 VERIFIED = "VERIFIED"
 FAILED = "FAILED"
@@ -98,20 +108,21 @@ class VerificationReport:
         return tuple(sorted(out))
 
 
-def _check_substitutions(row: CorpusRow) -> tuple[str, tuple[str, ...]]:
-    """Tri-state plus warnings for the Conway substitution check."""
+def _check_substitutions(row: CorpusRow, warnings: list[str]) -> str:
+    """Tri-state of the Conway substitution check; a failure on an
+    anomalous row is a warning instead."""
     if row.conway_check == "not-alignable" or row.conway_rep is None:
-        return NOT_APPLICABLE, ()
+        return NOT_APPLICABLE
     pairs = extract_substitutions(row.conway_min, row.conway_rep)
     ok = pairs is not None and all(
         verify_substitution(left, right) for left, right in pairs)
     if ok:
-        return PASS, ()
+        return PASS
     if row.conway_check == "anomalous":
-        msg = (f"{row.name}: substitution check failed on a row "
-               f"recorded as anomalous")
-        return NOT_APPLICABLE, (msg,)
-    return FAIL, ()
+        warnings.append(f"{row.name}: substitution check failed on a row "
+                        f"recorded as anomalous")
+        return NOT_APPLICABLE
+    return FAIL
 
 
 def _stage(row: CorpusRow, stage: str, fn, pd, warnings: list[str]):
@@ -128,7 +139,7 @@ def verify_row(row: CorpusRow) -> RowResult:
     """Run every applicable check; failures are recorded, not raised."""
     checks = {name: NOT_APPLICABLE for name in CHECK_NAMES}
     warnings: list[str] = []
-    jones_min = ""
+    j_min = None
     span: int | None = None
     genus_min: int | None = None
     genus_rep: int | None = None
@@ -138,7 +149,6 @@ def verify_row(row: CorpusRow) -> RowResult:
     if d_min is not None:
         j_min = _stage(row, "jones_min", jones, d_min, warnings)
         if j_min is not None:
-            jones_min = j_min.render()
             span = span_t(j_min)
         genus_min = _stage(row, "genus_min", turaev_genus, d_min, warnings)
         checks["genus_min_at_least_1"] = (
@@ -163,20 +173,17 @@ def verify_row(row: CorpusRow) -> RowResult:
                                warnings)
             checks["genus_rep_equals_1"] = (
                 PASS if genus_rep == 1 else FAIL)
-        checks["conway_substitutions_ok"], sub_warnings = (
-            _check_substitutions(row))
-        warnings.extend(sub_warnings)
+        checks["conway_substitutions_ok"] = _check_substitutions(
+            row, warnings)
 
     if row.status == "open":
         verdict = OPEN
     else:
-        applicable = [v for v in checks.values() if v != NOT_APPLICABLE]
-        verdict = (VERIFIED if all(v == PASS for v in applicable)
-                   else FAILED)
+        verdict = FAILED if FAIL in checks.values() else VERIFIED
     return RowResult(
         name=row.name, verdict=verdict, checks=checks,
-        jones_min=jones_min, span=span, genus_min=genus_min,
-        genus_rep=genus_rep, warnings=tuple(warnings))
+        jones_min="" if j_min is None else j_min.render(), span=span,
+        genus_min=genus_min, genus_rep=genus_rep, warnings=tuple(warnings))
 
 
 def verify_all(rows: list[CorpusRow],
@@ -184,25 +191,12 @@ def verify_all(rows: list[CorpusRow],
     """Evaluate all rows; results are sorted by name before reporting."""
     t0 = time.perf_counter()
     results = sorted((verify_row(r) for r in rows), key=lambda r: r.name)
-    verified = sum(1 for r in results if r.verdict == VERIFIED)
-    failed = sum(1 for r in results if r.verdict == FAILED)
-    open_rows = sum(1 for r in results if r.verdict == OPEN)
+    verdicts = Counter(r.verdict for r in results)
     return VerificationReport(
-        results=tuple(results), verified=verified, failed=failed,
-        open_rows=open_rows, duration_s=time.perf_counter() - t0,
+        results=tuple(results), verified=verdicts[VERIFIED],
+        failed=verdicts[FAILED], open_rows=verdicts[OPEN],
+        duration_s=time.perf_counter() - t0,
         version=__version__, corpus_digest=corpus_digest)
-
-
-def _row_object(r: RowResult) -> dict:
-    return {
-        "name": r.name,
-        "verdict": r.verdict,
-        "checks": dict(r.checks),
-        "jones_min": r.jones_min,
-        "span": r.span,
-        "genus_min": r.genus_min,
-        "genus_rep": r.genus_rep,
-    }
 
 
 def render_json(report: VerificationReport) -> str:
@@ -216,24 +210,22 @@ def render_json(report: VerificationReport) -> str:
             "open": report.open_rows,
             "warnings": list(report.warnings),
         },
-        "rows": [_row_object(r) for r in report.results],
+        "rows": [{"name": r.name, "verdict": r.verdict, "checks": r.checks,
+                  **{c: getattr(r, c) for c in VALUE_COLUMNS}}
+                 for r in report.results],
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
 def render_csv(report: VerificationReport) -> str:
-    import csv
-    import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("name", "verdict") + CHECK_NAMES
-                    + ("jones_min", "span", "genus_min", "genus_rep"))
+    writer.writerow(("name", "verdict") + CHECK_NAMES + VALUE_COLUMNS)
     for r in report.results:
-        num = ["" if v is None else v
-               for v in (r.span, r.genus_min, r.genus_rep)]
+        values = (getattr(r, c) for c in VALUE_COLUMNS)
         writer.writerow([r.name, r.verdict]
                         + [r.checks[c] for c in CHECK_NAMES]
-                        + [r.jones_min] + num)
+                        + ["" if v is None else v for v in values])
     return buf.getvalue()
 
 

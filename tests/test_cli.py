@@ -1,9 +1,10 @@
 """Command-line entry points, exercised in process via main(argv).
 
 The verify subcommand is covered here on a synthetic census (report
-bytes, digest, row totals) and for failure plumbing (bad corpus path,
-invalid corpus file, embedded census absent); verification of the
-embedded census runs in the acceptance tests.
+bytes and their recorded digests, row totals) and for failure plumbing
+(bad corpus path, invalid corpus file, embedded census absent, report
+path that cannot be opened); verification of the embedded census runs
+in the acceptance tests.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import pytest
 
 import turaev.corpus
 import turaev.poly
+import turaev.verify
 from synthetic_census import census_lines, write_census
 from turaev.cli import main
 
@@ -50,6 +52,18 @@ class TestSingleShotCommands:
     def test_tangle_fraction(self, capsys):
         assert main(["tangle-fraction", "2 1"]) == 0
         assert capsys.readouterr().out.strip() == "3/2"
+
+    def test_tangle_fraction_word_with_leading_minus(self, capsys):
+        # no space, so argparse would read it as an option flag
+        assert main(["tangle-fraction", "-2-1"]) == 0
+        assert capsys.readouterr().out.strip() == "-3/2"
+        for argv, code in ((["tangle-fraction", "--bogus"], 2),
+                           (["tangle-fraction", "-h"], 0)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        assert capsys.readouterr().out.startswith(
+            "usage: turaev tangle-fraction")
 
     def test_tangle_synthesize_negative(self, capsys):
         assert main(["tangle-synthesize", "-3/5"]) == 0
@@ -174,10 +188,18 @@ class TestVerifyPlumbing:
         assert rc == 1
         assert "corpus error" in capsys.readouterr().err
 
+    # sha256 of each report body over the seed-0 synthetic census
+    # (155 FAILED rows with fail: lists, 37 OPEN rows)
+    SEED0_DIGESTS = {
+        "text": "d22b0a96e099f497f6daeccb223da3dd34da586fab3aa7ff7313aaf13f7d73bb",
+        "json": "b53dae6be82974142f801355cdd86c6c7e1dafebbc12736c798597e1d78c7258",
+        "csv": "f82081e23f8e770c5b8bfc585e530c04a43c0898ecc98bfb46ee0608aa90c2b4",
+    }
+
     def test_synthetic_census_reports_are_stable(self, capsys, tmp_path):
         census = write_census(tmp_path)
         codes = set()
-        for fmt in ("text", "json", "csv"):
+        for fmt, digest in self.SEED0_DIGESTS.items():
             bodies = []
             for run in (1, 2):
                 report = tmp_path / f"{fmt}{run}"
@@ -185,12 +207,25 @@ class TestVerifyPlumbing:
                                 str(report), "--format", fmt]))
                 bodies.append(report.read_bytes())
             assert bodies[0] == bodies[1], fmt
+            assert hashlib.sha256(bodies[0]).hexdigest() == digest, fmt
         doc = json.loads((tmp_path / "json1").read_text(encoding="utf-8"))
         assert doc["corpus_digest"] == hashlib.sha256(census.read_bytes()).hexdigest()
         summary = doc["summary"]
         assert summary["verified"] + summary["failed"] + summary["open"] == 192
         assert codes == {1 if summary["failed"] else 0}
         assert "192 rows" in capsys.readouterr().err
+
+    def test_unwritable_report_exits_2_before_any_row(
+            self, capsys, monkeypatch, tmp_path):
+        census = write_census(tmp_path)
+        calls = []
+        monkeypatch.setattr(turaev.verify, "verify_row", calls.append)
+        target = tmp_path / "no" / "x.txt"
+        assert main(["verify", "--corpus", str(census),
+                     "--report", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(target) in err
+        assert calls == [] and not target.parent.exists()
 
     def test_census_read_once_and_digest_of_parsed_bytes(
             self, capsys, monkeypatch, tmp_path):

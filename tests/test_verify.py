@@ -12,6 +12,7 @@ Corpus-scale behavior lives in the acceptance tests.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 
@@ -229,6 +230,19 @@ class TestRenderers:
         text = render_text(self._report())
         assert "warning: K12n748" in text
         assert "K3n1" in text and "OPEN" in text
+
+    def test_bodies_match_recorded_digests(self):
+        # sha256 of each body; the report carries the K12n748 warning
+        digests = {
+            render_text: "486501eb6c689f94a59a3d96d60ec10c34b5b0675a115bdbb807a0eabbe58f52",
+            render_json: "fd970e4620a1d93579e6d47207de46f761e43cb2a0ea9d7d7f173667567b3600",
+            render_csv: "93db76c83f13be5ebeb5b512ffbfaac1863f050bf10c878158ed01539fe4f1d1",
+        }
+        report = self._report()
+        assert report.warnings
+        for render, digest in digests.items():
+            body = render(report).encode("utf-8")
+            assert hashlib.sha256(body).hexdigest() == digest, render.__name__
 
     def test_duration_not_rendered(self):
         report = self._report()
