@@ -4,14 +4,18 @@ Subcommands: `verify` runs the full corpus pipeline and renders a
 report; `jones`, `genus`, `realize`, and `classify` evaluate a single
 DT code given as a string such as "{{4},{4,6,8,2}}"; `tangle-fraction`
 and `tangle-synthesize` convert between tangle words and extended
-rationals.  The tool never touches the network: the corpus ships
-inside the package and is overridable only by the --corpus flag.
+rationals.  Those six single-shot commands live in one table,
+``_COMMANDS``, which builds their subparsers and says what each prints.
+The tool never touches the network: the corpus ships inside the
+package and is overridable only by the --corpus flag.
 
 Exit codes: 0 on success (for `verify`: zero FAILED rows), 1 when
 verification fails or the corpus does not validate, 2 on bad input or
 a stage fault on the diagram (under `verify`, that fails only its row).
 A `--report` path that cannot be opened is bad input, found before any
-row runs.  A word or fraction may start with a minus ("-2-1", "-3/5").
+row runs.  A word or fraction may start with a minus ("-2-1", "-3/5"):
+``main`` puts "--" before such an argument so it does not read as an
+option flag.
 """
 
 from __future__ import annotations
@@ -36,6 +40,31 @@ from .tangle import (
 )
 from .verify import RENDERERS, verify_all
 
+_DT_EXAMPLE = 'e.g. "{{4},{4,6,8,2}}"'
+
+# the single-shot commands: name -> (help, argument metavar, argument
+# help, the text the command prints for its argument)
+_COMMANDS = {
+    "jones": ("Jones polynomial of a DT code", "dtcode", _DT_EXAMPLE,
+              lambda text: jones(realize(parse_dt(text))).render()),
+    "genus": ("Turaev genus of the realized diagram", "dtcode", _DT_EXAMPLE,
+              lambda text: turaev_genus(realize(parse_dt(text)))),
+    "realize": ("planar diagram of a DT code", "dtcode", _DT_EXAMPLE,
+                lambda text: format_diagram(realize(parse_dt(text)))),
+    "classify": ("crossing sign pattern of a DT code", "dtcode", _DT_EXAMPLE,
+                 lambda text: classify_signs(parse_dt(text)).kind.value),
+    "tangle-fraction": ("fraction of a rational tangle word", "word",
+                        'e.g. "2 1 1" or "-2 0"',
+                        lambda text: fraction(parse_word(text))),
+    "tangle-synthesize": (
+        "tangle word with fraction P/Q and entries of one digit: for P/Q < 0 "
+        "the shortest word whose only negative entry is a single -1, for "
+        "P/Q >= 0 the plain continued-fraction word",
+        "P/Q", 'a finite rational, e.g. "-3/5" or "7/3"',
+        lambda text: render_word(synthesize_one_minus_one(
+            ExtendedRational.parse(text)))),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -52,29 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="write the report here instead of stdout")
     p_verify.add_argument("--format", choices=RENDERERS, default="text")
 
-    for name, help_text in (
-            ("jones", "Jones polynomial of a DT code"),
-            ("genus", "Turaev genus of the realized diagram"),
-            ("realize", "planar diagram of a DT code"),
-            ("classify", "crossing sign pattern of a DT code")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("dtcode", help='e.g. "{{4},{4,6,8,2}}"')
-
-    p_frac = sub.add_parser(
-        "tangle-fraction", help="fraction of a rational tangle word")
-    p_frac.add_argument("word", help='e.g. "2 1 1" or "-2 0"')
-
-    p_syn = sub.add_parser(
-        "tangle-synthesize",
-        help="tangle word with fraction P/Q and entries of one digit: "
-             "for P/Q < 0 the shortest word whose only negative entry is "
-             "a single -1, for P/Q >= 0 the plain continued-fraction word")
-    p_syn.add_argument("pq", metavar="P/Q",
-                       help='a finite rational, e.g. "-3/5" or "7/3"')
-    # let a leading minus and digit read as a word or fraction, not an
-    # option flag; neither parser has an option spelled that way
-    for p in (p_frac, p_syn):
-        p._negative_number_matcher = re.compile(r"^-\d")
+    for name, (help_text, metavar, arg_help, _) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text).add_argument(
+            "arg", metavar=metavar, help=arg_help)
     return parser
 
 
@@ -100,25 +109,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if len(argv) > 1 and argv[0] in _COMMANDS and re.match(r"-\d", argv[1]):
+        argv.insert(1, "--")
     args = _build_parser().parse_args(argv)
     if args.command == "verify":
         return _cmd_verify(args)
     try:
-        if args.command in ("jones", "genus", "realize", "classify"):
-            code = parse_dt(args.dtcode)
-            if args.command == "classify":
-                print(classify_signs(code).kind.value)
-            elif args.command == "realize":
-                print(format_diagram(realize(code)))
-            elif args.command == "jones":
-                print(jones(realize(code)).render())
-            else:
-                print(turaev_genus(realize(code)))
-        elif args.command == "tangle-fraction":
-            print(fraction(parse_word(args.word)))
-        elif args.command == "tangle-synthesize":
-            print(render_word(synthesize_one_minus_one(
-                ExtendedRational.parse(args.pq))))
+        print(_COMMANDS[args.command][-1](args.arg))
         return 0
     except (ValueError, NotFound) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -101,20 +101,20 @@ _DT_RE = re.compile(
 def parse_dt(text: str) -> DtCode:
     """Parse ``{{n},{a_1,...,a_n}}`` text into a validated DtCode.
 
-    Raises DtCodeError when the text is not of that shape, when the
-    declared n disagrees with the label count, or when the labels are
-    not signed evens 2..2n with distinct magnitudes.
+    Raises DtCodeError when the text is not of that shape, when a
+    number has more digits than ``int`` converts, when the declared n
+    disagrees with the label count, or when the labels are not signed
+    evens 2..2n with distinct magnitudes.
     """
     m = _DT_RE.match(text)
     if m is None:
         raise DtCodeError(f"not of the form {{{{n}},{{a1,...,an}}}}: {text!r}")
-    n = int(m.group(1))
     body = m.group(2).strip()
-    labels: tuple[int, ...]
-    if body:
-        labels = tuple(int(tok) for tok in body.split(","))
-    else:
-        labels = ()
+    try:
+        n = int(m.group(1))
+        labels = tuple(int(tok) for tok in body.split(",")) if body else ()
+    except ValueError:  # the digits match, so only int()'s length limit
+        raise DtCodeError("a number has more digits than int() converts") from None
     return DtCode(n, labels)
 
 

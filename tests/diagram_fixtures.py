@@ -13,6 +13,13 @@ The braid tracer builds a plane diagram directly, without a DT code,
 and ``dt_of`` reads the DT code back off any diagram, so realization
 can be checked against a diagram it did not build.
 
+``random_code`` and ``random_diagram`` are the one source of seeded
+random codes.  ``random_code`` shuffles the evens 2..2n and then draws
+one sign per shuffled label, in order (``rng.random() < 0.5`` keeps it
+positive).  ``random_diagram`` draws n with ``rng.randint(low, high)``
+and then ``random_code(rng, n)``, and repeats until the code realizes;
+it returns the diagram.
+
 ``switch_crossing`` and ``mirror`` exchange over and under strands at
 one crossing or at all of them.  ``shuffled`` stores the same diagram
 with its crossings in another order, and ``reflected`` embeds it with
@@ -33,7 +40,7 @@ from __future__ import annotations
 import random
 
 from turaev.dt import DtCode
-from turaev.realize import Crossing, PlanarDiagram
+from turaev.realize import Crossing, PlanarDiagram, try_realize
 
 _TOP_EXIT = {"TL", "TR"}
 
@@ -139,6 +146,22 @@ def braid_closure_diagram(word: list[int]) -> PlanarDiagram:
         odd = next(p for p, _ in passes if p % 2)
         crossings[odd // 2] = Crossing(tuple(edge[q] for q in ports), 3 if g > 0 else 1)
     return PlanarDiagram(tuple(crossings))
+
+
+def random_code(rng: random.Random, n: int) -> DtCode:
+    """The evens 2..2n shuffled, each negated with probability 1/2."""
+    evens = list(range(2, 2 * n + 1, 2))
+    rng.shuffle(evens)
+    return DtCode(n, tuple(a if rng.random() < 0.5 else -a for a in evens))
+
+
+def random_diagram(rng: random.Random, low: int, high: int) -> PlanarDiagram:
+    """The diagram of the first ``random_code`` with n = randint(low,
+    high) that realizes."""
+    while True:
+        diagram = try_realize(random_code(rng, rng.randint(low, high))).diagram
+        if diagram is not None:
+            return diagram
 
 
 def dt_of(pd: PlanarDiagram) -> DtCode:

@@ -123,6 +123,24 @@ class TestSingleShotCommands:
                 words += 1
         assert words >= 300
 
+    # each single-shot command's usage line, pinned so that building the
+    # subparsers from one table changes none of them
+    USAGE = {
+        "jones": "usage: turaev jones [-h] dtcode",
+        "genus": "usage: turaev genus [-h] dtcode",
+        "realize": "usage: turaev realize [-h] dtcode",
+        "classify": "usage: turaev classify [-h] dtcode",
+        "tangle-fraction": "usage: turaev tangle-fraction [-h] word",
+        "tangle-synthesize": "usage: turaev tangle-synthesize [-h] P/Q",
+    }
+
+    def test_usage_lines(self, capsys):
+        for command, usage in self.USAGE.items():
+            with pytest.raises(SystemExit) as exc:
+                main([command, "-h"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.splitlines()[0] == usage
+
     def test_bad_fraction_exits_2(self, capsys):
         assert main(["tangle-synthesize", "x/y"]) == 2
         assert "error" in capsys.readouterr().err
@@ -130,39 +148,28 @@ class TestSingleShotCommands:
         assert "infinity" in capsys.readouterr().err
 
 
-def test_runs_without_numpy():
-    script = (
-        "import sys\n"
-        "sys.modules['numpy'] = None\n"
-        "import turaev, turaev.cli\n"
-        "raise SystemExit(turaev.cli.main(['jones', '{{3},{4,6,2}}']))\n"
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "-1*t^-4 + 1*t^-3 + 1*t^-1"
-
-
 def test_imports_only_the_standard_library():
-    # -S leaves site-packages off the path; the script prints every
-    # module the import brought in that is neither turaev nor stdlib
+    # -S leaves site-packages, and so numpy, off the path; runpy runs
+    # turaev/__main__.py, and the script then prints every module the
+    # run brought in that is neither turaev nor stdlib
     script = (
-        "import sys\n"
+        "import runpy, sys\n"
         "before = set(sys.modules)\n"
-        "import turaev.cli\n"
+        "sys.argv = ['turaev', 'jones', '{{3},{4,6,2}}']\n"
+        "try:\n"
+        "    runpy.run_module('turaev', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
         "new = {m.partition('.')[0] for m in set(sys.modules) - before}\n"
         "print(sorted(new - {'turaev'} - sys.stdlib_module_names))\n"
+        "raise SystemExit(code)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-S", "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines() == ["-1*t^-4 + 1*t^-3 + 1*t^-1", "[]"]
 
 
 class TestVerifyPlumbing:
@@ -248,17 +255,21 @@ class TestVerifyPlumbing:
             read_bytes(census)).hexdigest()
         assert "192 rows" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit", ["duplicate", "half-present", "191 rows"])
+    @pytest.mark.parametrize("edit", ["duplicate", "half-present", "191 rows",
+                                      "5000-digit label"])
     def test_bad_synthetic_census_exits_1(self, capsys, tmp_path, edit):
         lines = census_lines()
         if edit == "duplicate":
             lines.append(lines[0])
-        elif edit == "half-present":
-            fields = lines[0].split("\t")
-            fields[3] = ""
-            lines[0] = "\t".join(fields)
-        else:
+        elif edit == "191 rows":
             lines.pop()
+        else:
+            fields = lines[0].split("\t")
+            if edit == "half-present":
+                fields[3] = ""
+            else:  # past the digit limit of int()
+                fields[4] = "{{1},{%s}}" % ("2" * 5000)
+            lines[0] = "\t".join(fields)
         census = write_census(tmp_path, lines)
         assert main(["verify", "--corpus", str(census)]) == 1
         assert "corpus error" in capsys.readouterr().err

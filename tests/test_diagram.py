@@ -5,24 +5,13 @@ import random
 import pytest
 
 from bracket_oracles import loops_oracle
-from diagram_fixtures import mirror, pretzel_dt, switch_crossing
+from diagram_fixtures import dt_of, mirror, pretzel_dt, random_diagram, switch_crossing
 from turaev.dt import DtCode, SignKind, classify_signs, parse_dt
 from turaev.poly import bracket, turaev_genus, writhe
-from turaev.realize import Crossing, PlanarDiagram, realize, try_realize, validate_diagram
+from turaev.realize import Crossing, PlanarDiagram, realize, validate_diagram
 
 TREFOIL = realize(parse_dt("{{3},{4,6,2}}"))
 KINK = realize(parse_dt("{{1},{2}}"))
-
-
-def _random_realizable(rng: random.Random, n_lo: int = 3, n_hi: int = 7) -> PlanarDiagram:
-    while True:
-        n = rng.randint(n_lo, n_hi)
-        evens = list(range(2, 2 * n + 1, 2))
-        rng.shuffle(evens)
-        code = DtCode(n, tuple(a if rng.random() < 0.5 else -a for a in evens))
-        got = try_realize(code)
-        if got.diagram is not None:
-            return got.diagram
 
 
 def test_trefoil_extreme_loops() -> None:
@@ -40,7 +29,7 @@ def test_empty_diagram_loops_and_genus() -> None:
 def test_loops_match_oracle_on_random_states() -> None:
     rng = random.Random(91)
     for _ in range(40):
-        pd = _random_realizable(rng)
+        pd = random_diagram(rng, 3, 7)
         s_a, s_b = loops_oracle(pd, "A" * pd.n), loops_oracle(pd, "B" * pd.n)
         assert 2 * turaev_genus(pd) == pd.n + 2 - s_a - s_b
 
@@ -50,14 +39,11 @@ def test_trefoil_genus_zero() -> None:
 
 
 def test_alternating_codes_have_genus_zero() -> None:
+    # signs do not affect realizability, so the unsigned code realizes
     rng = random.Random(5)
     for _ in range(50):
-        n = rng.randint(2, 7)
-        evens = list(range(2, 2 * n + 1, 2))
-        rng.shuffle(evens)
-        got = try_realize(DtCode(n, tuple(evens)))
-        if got.diagram is not None:
-            assert turaev_genus(got.diagram) == 0
+        code = dt_of(random_diagram(rng, 2, 7))
+        assert turaev_genus(realize(DtCode(code.n, tuple(map(abs, code.labels))))) == 0
 
 
 def test_pretzel_fixture_genus_one() -> None:
@@ -80,7 +66,7 @@ def test_writhe_and_mirror() -> None:
 def test_mirror_swaps_smoothings() -> None:
     rng = random.Random(14)
     for _ in range(25):
-        pd = _random_realizable(rng)
+        pd = random_diagram(rng, 3, 7)
         m = mirror(pd)
         validate_diagram(m)
         assert turaev_genus(m) == turaev_genus(pd)
@@ -90,7 +76,7 @@ def test_mirror_swaps_smoothings() -> None:
 def test_switch_crossing_moves_genus_by_at_most_one() -> None:
     rng = random.Random(33)
     for _ in range(40):
-        pd = _random_realizable(rng)
+        pd = random_diagram(rng, 3, 7)
         i = rng.randrange(pd.n)
         g0 = turaev_genus(pd)
         switched = switch_crossing(pd, i)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from diagram_fixtures import random_code
 from turaev.dt import (
     DtCode,
     DtCodeError,
@@ -16,13 +17,6 @@ from turaev.dt import (
 TREFOIL = "{{3},{4,6,2}}"
 TWELVE_MIN = "{{12},{4,8,14,2,-18,16,6,20,22,-24,12,-10}}"
 TWELVE_REP = "{{17},{4,8,14,2,24,32,6,30,26,28,-16,12,34,18,20,22,10}}"
-
-
-def _random_code(rng: random.Random, n: int) -> DtCode:
-    evens = [2 * k for k in range(1, n + 1)]
-    rng.shuffle(evens)
-    labels = tuple(a if rng.random() < 0.5 else -a for a in evens)
-    return DtCode(n, labels)
 
 
 def test_parse_trefoil() -> None:
@@ -66,7 +60,7 @@ def test_fuzzed_text_raises_only_documented_errors() -> None:
     rng = random.Random(58)
     alphabet = "{},- \t0123456789\u00b2\u0663"
     for _ in range(3000):
-        text = format_dt(_random_code(rng, rng.randint(0, 17)))
+        text = format_dt(random_code(rng, rng.randint(0, 17)))
         text = "".join(rng.choice("3\u0663") if ch == "3" else ch for ch in text)
         for _ in range(rng.randint(0, 2)):
             i = rng.randrange(len(text) + 1)
@@ -89,6 +83,17 @@ def test_parse_rejects_length_mismatch() -> None:
 def test_negative_crossing_count() -> None:
     with pytest.raises(DtCodeError, match="negative crossing count -1"):
         DtCode(-1, ())
+
+
+@pytest.mark.parametrize("text", ["{{1},{%s}}" % ("2" * 5000),
+                                  "{{%s},{2}}" % ("1" * 5000)],
+                         ids=["label", "count"])
+def test_parse_rejects_numbers_past_the_int_digit_limit(text: str) -> None:
+    # int() refuses more than 4300 digits; the message names the rule
+    # and does not echo the number
+    with pytest.raises(DtCodeError) as exc:
+        parse_dt(text)
+    assert str(exc.value) == "a number has more digits than int() converts"
 
 
 @pytest.mark.parametrize(
@@ -155,7 +160,7 @@ def test_random_codes_round_trip_and_mirror_classification() -> None:
     rng = random.Random(1759)
     for _ in range(200):
         n = rng.randint(2, 14)
-        code = _random_code(rng, n)
+        code = random_code(rng, n)
         assert parse_dt(format_dt(code)) == code
         mirrored = DtCode(n, tuple(-a for a in code.labels))
         assert classify_signs(mirrored).kind is classify_signs(code).kind

@@ -36,13 +36,12 @@ that kind.
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
 
 import turaev.poly
-from turaev.dt import DtCode, parse_dt
+from turaev.dt import parse_dt
 from turaev.poly import (
     BracketTooWide,
     LaurentPoly,
@@ -61,7 +60,6 @@ from turaev.realize import (
     end_mates,
     face_count,
     realize,
-    try_realize,
     validate_diagram,
 )
 
@@ -77,6 +75,7 @@ from diagram_fixtures import (
     dt_of,
     mirror,
     pretzel_dt,
+    random_diagram,
     reflected,
     shuffled,
     switch_crossing,
@@ -101,21 +100,10 @@ def _random_poly(rng: random.Random, var: str = "A") -> LaurentPoly:
     return LaurentPoly.from_dict(var, coeffs)
 
 
-def _random_realizable(rng: random.Random, n: int) -> PlanarDiagram | None:
-    mags = list(range(2, 2 * n + 1, 2))
-    rng.shuffle(mags)
-    labels = tuple(m if rng.random() < 0.5 else -m for m in mags)
-    res = try_realize(DtCode(n, labels))
-    return res.diagram
-
-
 def _random_diagrams(seed: int, count: int, max_n: int) -> list[PlanarDiagram]:
     """The first ``count`` realizable random codes, n = 3..max_n."""
     rng = random.Random(seed)
-    tries = (_random_realizable(rng, rng.randint(3, max_n)) for _ in range(8 * count))
-    out = list(itertools.islice(filter(None, tries), count))
-    assert len(out) == count
-    return out
+    return [random_diagram(rng, 3, max_n) for _ in range(count)]
 
 
 def _derivative_at_one(v: LaurentPoly) -> int:

@@ -27,6 +27,8 @@ from diagram_fixtures import (
     end_mates_oracle,
     interlacement_bits_oracle,
     mirror,
+    random_code,
+    random_diagram,
     reflected,
     shuffled,
     switch_crossing,
@@ -185,11 +187,7 @@ def test_bits_match_the_interlacement_oracle() -> None:
     # accepted exactly when the oracle's bits embed it, and then with
     # exactly those bits.
     rng = random.Random(35)
-    randoms = []
-    for _ in range(150):
-        n = rng.randint(13, 41)
-        mags = rng.sample(range(2, 2 * n + 1, 2), n)
-        randoms.append(DtCode(n, tuple(a if rng.random() < 0.5 else -a for a in mags)))
+    randoms = [random_code(rng, rng.randint(13, 41)) for _ in range(150)]
     accepted = 0
     for code in _braid_codes(36, 150, 13, 41) + randoms:
         oracle = _assemble(code, interlacement_bits_oracle(code))
@@ -215,13 +213,7 @@ def test_end_mates_match_the_oracle() -> None:
     # second one renumbered) and the realizations of their codes, each
     # also mirrored, with one crossing switched, shuffled and reflected.
     rng = random.Random(37)
-    bases = []
-    while len(bases) < 30:
-        n = rng.randint(1, 12)
-        mags = rng.sample(range(2, 2 * n + 1, 2), n)
-        result = try_realize(DtCode(n, tuple(a if rng.random() < 0.5 else -a for a in mags)))
-        if result.diagram is not None:
-            bases.append(result.diagram)
+    bases = [random_diagram(rng, 1, 12) for _ in range(30)]
     for pd in _braid_diagrams(38, 12, 13, 61):
         bases += [pd, realize(dt_of(pd))]
     for pd in bases:
@@ -290,16 +282,13 @@ def test_signs_do_not_affect_realizability() -> None:
     # same rotation systems available, so realizability is unaffected.
     rng = random.Random(20)
     for _ in range(60):
-        n = rng.randint(3, 7)
-        evens = list(range(2, 2 * n + 1, 2))
-        rng.shuffle(evens)
-        unsigned = DtCode(n, tuple(evens))
-        signed = DtCode(n, tuple(a if rng.random() < 0.5 else -a for a in evens))
+        signed = random_code(rng, rng.randint(3, 7))
+        unsigned = DtCode(signed.n, tuple(map(abs, signed.labels)))
         assert (try_realize(unsigned).diagram is None) == (
             try_realize(signed).diagram is None
         )
         d = try_realize(signed).diagram
         if d is not None:
             validate_diagram(d)
-            assert face_count(d) == n + 2
+            assert face_count(d) == signed.n + 2
 
