@@ -148,6 +148,17 @@ class TestSingleShotCommands:
         assert "infinity" in capsys.readouterr().err
 
 
+def test_runs_without_numpy():
+    # -S leaves site-packages, and so numpy, off the path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-m", "turaev", "jones", "{{3},{4,6,2}}"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "-1*t^-4 + 1*t^-3 + 1*t^-1"
+
+
 def test_imports_only_the_standard_library():
     # -S leaves site-packages, and so numpy, off the path; runpy runs
     # turaev/__main__.py, and the script then prints every module the
