@@ -127,8 +127,14 @@ def _parse_line(lineno: int, line: str) -> CorpusRow:
         raise CorpusError(f"line {lineno}: expected 7 tab-separated fields, "
                           f"got {len(fields)}")
     name, status, conway_min, conway_rep, dt_min, dt_rep, source = fields
-    if not _NAME_RE.fullmatch(name):
+    m = _NAME_RE.fullmatch(name)
+    if not m:
         raise CorpusError(f"line {lineno}: bad name {name!r}")
+    try:
+        int(m.group(1))  # what CorpusRow.crossing_number reads
+    except ValueError:  # the digits match, so only int()'s length limit
+        raise CorpusError(f"line {lineno}: the crossing number in the name has "
+                          f"more digits than int() converts") from None
     if status not in _STATUSES:
         raise CorpusError(f"line {lineno}: bad status {status!r}")
     if source not in _SOURCES:

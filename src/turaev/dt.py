@@ -45,6 +45,15 @@ class DtCodeError(ValueError):
     arrangement of the evens 2..2n; the message names the rule."""
 
 
+def _shown(k: int) -> str:
+    """``k`` in decimal, or for 31 digits and more only its sign and bit
+    length, so that a message stays short and never runs into the digit
+    limit of ``str``."""
+    if abs(k) < 10**30:
+        return str(k)
+    return f"{'-' if k < 0 else ''}<{abs(k).bit_length()}-bit number>"
+
+
 @dataclass(frozen=True)
 class DtCode:
     """A validated signed DT code.
@@ -58,18 +67,18 @@ class DtCode:
 
     def __post_init__(self) -> None:
         if self.n < 0:
-            raise DtCodeError(f"negative crossing count {self.n}")
+            raise DtCodeError(f"negative crossing count {_shown(self.n)}")
         if len(self.labels) != self.n:
             raise DtCodeError(
-                f"declared {self.n} crossings but got {len(self.labels)} labels"
+                f"declared {_shown(self.n)} crossings but got {len(self.labels)} labels"
             )
         seen: set[int] = set()
         for a in self.labels:
             m = abs(a)
             if m == 0 or m % 2 != 0:
-                raise DtCodeError(f"label {a} is not a nonzero even number")
+                raise DtCodeError(f"label {_shown(a)} is not a nonzero even number")
             if m > 2 * self.n:
-                raise DtCodeError(f"label {a} exceeds 2n = {2 * self.n}")
+                raise DtCodeError(f"label {_shown(a)} exceeds 2n = {2 * self.n}")
             if m in seen:
                 raise DtCodeError(f"label magnitude {m} repeats")
             seen.add(m)

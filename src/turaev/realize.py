@@ -15,23 +15,29 @@ arrival slots, every edge number appears exactly twice in the diagram,
 once as an arrival and once as a departure, and a kink's self-loop edge
 simply occupies two slots of the same crossing.
 
-Realization reads the orientation word off the code instead of
-searching the 2^(n-1) candidates.  Crossing i's bit says whether the
-over strand enters at slot 1 (bit 0) or slot 3 (bit 1); XORed with
-[a_i < 0] it says from which side the even pass of crossing i crosses
-its odd pass.  Rosenstiehl's characterization of Gauss words (proved by
-de Fraysseix and Ossona de Mendez, 1999) 2-colours the interlacement
-graph of the chords (2i+1, |a_i|) by exactly these sides: along an
-interlacement edge the side flips when the two crossings share an even
-number of interlaced neighbours.  So the bits are fixed up to one
-reflection per component, and giving each component's lowest crossing
-bit 0 picks the lexicographically first embedding word.
+Realization reads both the verdict and the orientation word off the
+interlacement graph of the chords (2i+1, |a_i|), instead of searching
+the 2^(n-1) candidates.  Crossing i's bit says whether the over strand
+enters at slot 1 (bit 0) or slot 3 (bit 1); XORed with [a_i < 0] it
+says from which side the even pass of crossing i crosses its odd pass.
+Rosenstiehl's characterization of Gauss words (proved by de Fraysseix
+and Ossona de Mendez, 1999) says the code has a plane curve exactly
+when, with the interlacement matrix squared over GF(2) so that entry
+(u, v) is the parity of the common neighbours of u and v,
 
-The built rotation system is then checked once: it embeds in the
-sphere exactly when it has n + 2 faces, the Euler count.  A code with a
-plane curve always gets bits that embed it, and a code without one has
-no sphere embedding under any bits, so a short face count proves that
-every candidate falls short and the code is rejected.
+    (a) every crossing has an even number of neighbours,
+    (b) two crossings that do not interlace share an even number, and
+    (c) the sides 2-colour the graph so that two interlaced crossings
+        lie on one side exactly when they share an odd number.
+
+(a) and (b) say that each row of the square lies inside the row of the
+graph.  (c) fixes the sides up to one reflection per component, and
+giving each component's lowest crossing bit 0 picks the
+lexicographically first embedding word.  A code that fails any of the
+three has no sphere embedding under any bits, so no rotation system of
+its 2^(n-1) candidates reaches the n + 2 faces of the Euler count, and
+it is rejected before any crossing is built.  No face count decides:
+``face_count`` and ``validate_diagram`` remain as independent checks.
 """
 
 from __future__ import annotations
@@ -39,6 +45,8 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from operator import xor
 
 from .dt import DtCode
 
@@ -56,7 +64,15 @@ __all__ = [
 
 
 class NotRealizable(ValueError):
-    """No orientation assignment embeds the code in the sphere."""
+    """No orientation assignment embeds the code in the sphere.
+
+    Raised when the GF(2) square of the interlacement graph breaks one
+    of the three conditions of the module docstring: a row of the square
+    outside its row of the graph ((a), (b)), or a row that is not the
+    graph row masked to its crossing's side ((c)).  By the theorem every
+    one of the 2^(n-1) candidate rotation systems then has fewer than
+    n + 2 faces, which the message states; no face count is taken.
+    """
 
 
 @dataclass(frozen=True)
@@ -82,7 +98,10 @@ class PlanarDiagram:
         """``end_mates(self)``, built once per diagram.
 
         Stored on the instance, not as a field, so ``==`` and ``hash``
-        still see only ``crossings``.
+        still see only ``crossings``.  ``realize`` stores it as it
+        assembles the crossings, from the arrival ends it places, with
+        the pairing that ``end_mates`` ends with; its diagrams are one
+        closed strand by construction.
         """
         return tuple(end_mates(self))
 
@@ -103,32 +122,47 @@ class RealizationResult:
     obstruction: str | None = None
 
 
-def _orientation_bits(code: DtCode) -> list[int]:
-    """One orientation bit per crossing, read off the interlacement graph.
+def _orientation_bits(code: DtCode) -> list[int] | None:
+    """One orientation bit per crossing, or None when no plane curve exists.
 
-    Each component, taken in ascending order of its lowest crossing,
-    gets bit 0 at that crossing.  Along each edge u -> v of a spanning
-    tree the bit of v follows by Rosenstiehl's rule, flipped when u and
-    v share an even number of neighbours and once more for each
-    negative label of the two.  Non-tree edges are not checked: the
-    face count in ``realize`` decides.
-
-    The graph is held as bitmasks.  Chord i's passes are lo < hi, and
+    The interlacement graph and its square over GF(2) are held as
+    bitmasks, one row per crossing.  Chord u's passes are lo < hi, and
     the chords crossing it are those met an odd number of times strictly
-    between them, the XOR of the passes lo + 1 .. hi - 1.  The walk
-    claims every unvisited neighbour of a crossing at once.
+    between them: ``nbrs[u]`` is the XOR of the passes lo + 1 .. hi - 1.
+    Row u of the square is the XOR of ``nbrs[w]`` over those same
+    passes, since a chord with both ends inside chord u cancels, so it
+    is one more prefix XOR; bit v of ``sq[u]`` is the parity of the
+    common neighbours of u and v.  The three conditions of the module
+    docstring read off it:
+
+    - (a) and (b), before any walk: ``sq[u] & ~nbrs[u]`` is 0 for every u.
+      (c) implies them; checked first, they reject most codes without
+      the walk.
+    - The walk: each component, taken in ascending order of its lowest
+      crossing, gets bit 0 at that crossing.  Along each edge u -> v of
+      a spanning tree the bit of v follows by Rosenstiehl's rule,
+      flipped when bit v of ``sq[u]`` is 0 (an even number of common
+      neighbours) and once more for each negative label of the two.  It
+      claims every unvisited neighbour of a crossing at once.
+    - (c), after the walk: ``sq[u]`` is ``nbrs[u]`` masked to the
+      crossings on u's side, the side being bit XOR [label < 0].
+
+    None means a condition failed; the face count does not decide.
     """
     n = code.n
-    at = [0] * (2 * n + 1)  # pass -> bit of its crossing, passes 1..2n
+    of = [0] * (2 * n + 1)  # pass -> its crossing, passes 1..2n
+    chords = []
     for i, a in enumerate(code.labels):
-        at[2 * i + 1] = at[abs(a)] = 1 << i
-    seen = [0] * (2 * n + 1)  # seen[t]: XOR of passes 1 .. t - 1
-    for t in range(1, 2 * n):
-        seen[t + 1] = seen[t] ^ at[t]
-    nbrs = []
-    for i, a in enumerate(code.labels):
-        lo, hi = sorted((2 * i + 1, abs(a)))
-        nbrs.append(seen[hi] ^ seen[lo + 1])
+        p, q = 2 * i + 1, abs(a)
+        of[p] = of[q] = i
+        chords.append((p, q) if p < q else (q, p))
+    # seen[t]: XOR of the bits of passes 1..t; inner[t]: of their nbrs
+    seen = list(accumulate([1 << c for c in of[1:]], xor, initial=0))
+    nbrs = [seen[hi - 1] ^ seen[lo] for lo, hi in chords]
+    inner = list(accumulate([nbrs[c] for c in of[1:]], xor, initial=0))
+    sq = [inner[hi - 1] ^ inner[lo] for lo, hi in chords]
+    if any(s & ~m for s, m in zip(sq, nbrs)):
+        return None
     neg = [a < 0 for a in code.labels]
     bits = [0] * n
     todo = (1 << n) - 1
@@ -143,26 +177,50 @@ def _orientation_bits(code: DtCode) -> list[int]:
             while new:
                 v = (new & -new).bit_length() - 1
                 new ^= 1 << v
-                even = not (nbrs[u] & nbrs[v]).bit_count() & 1
+                even = not sq[u] >> v & 1
                 bits[v] = bits[u] ^ neg[u] ^ neg[v] ^ even
                 stack.append(v)
+    side = [b ^ g for b, g in zip(bits, neg)]
+    ones = sum(1 << i for i, s in enumerate(side) if s)
+    if any(sq[u] != nbrs[u] & (ones if side[u] else ~ones) for u in range(n)):
+        return None
     return bits
 
 
+def _pair(arrive: list[int]) -> list[int]:
+    """Involution pairing the two ends of each edge, from its arrival ends.
+
+    ``arrive[k - 1]`` is the arrival end of edge k; edge k departs from
+    the end opposite edge k - 1's arrival (edge 2n's when k = 1).
+    """
+    mate = [0] * (2 * len(arrive))
+    for k, a in enumerate(arrive):
+        d = arrive[k - 1] ^ 2
+        mate[a] = d
+        mate[d] = a
+    return mate
+
+
 def _assemble(code: DtCode, bits: list[int]) -> PlanarDiagram:
+    """The diagram of ``code`` under ``bits``, with ``mates`` already set."""
     two_n = 2 * code.n
     crossings = []
+    arrive = [0] * two_n  # arrive[k - 1]: the arrival end of edge k
     for i, (a, b) in enumerate(zip(code.labels, bits)):
         odd, even = 2 * i, abs(a) - 1  # 0-based pass times
         u, o = (even, odd) if a > 0 else (odd, even)
         # pass t arrives along edge t (edge 2n at pass 0), leaves along t + 1
         u_in, o_in = (u - 1) % two_n + 1, (o - 1) % two_n + 1
+        over = 3 if b else 1
         if b == 0:
             slots = (u_in, o_in, u + 1, o + 1)
         else:
             slots = (u_in, o + 1, u + 1, o_in)
-        crossings.append(Crossing(slots, 3 if b else 1))
-    return PlanarDiagram(tuple(crossings))
+        crossings.append(Crossing(slots, over))
+        arrive[u_in - 1], arrive[o_in - 1] = 4 * i, 4 * i + over
+    pd = PlanarDiagram(tuple(crossings))
+    pd.__dict__["mates"] = tuple(_pair(arrive))  # the cached_property's value
+    return pd
 
 
 def realize(code: DtCode) -> PlanarDiagram:
@@ -172,14 +230,14 @@ def realize(code: DtCode) -> PlanarDiagram:
     bit 0, which is the lexicographically first orientation word that
     embeds in the sphere, so a code and its reflection do not race.
     """
-    pd = _assemble(code, _orientation_bits(code))
-    if face_count(pd) != code.n + 2:
+    bits = _orientation_bits(code)
+    if bits is None:
         raise NotRealizable(
             f"no planar orientation assignment for {code}: every "
             f"{1 << (code.n - 1)} candidate rotation system has fewer than "
             f"{code.n + 2} faces"
         )
-    return pd
+    return _assemble(code, bits)
 
 
 def try_realize(code: DtCode) -> RealizationResult:
@@ -223,12 +281,7 @@ def end_mates(pd: PlanarDiagram) -> list[int]:
                     f"{s ^ 2} carries {slots[s ^ 2]}, not {e % two_n + 1}"
                 )
             arrive[e - 1] = 4 * c + s
-    mate = [0] * (2 * two_n)
-    for k, a in enumerate(arrive):  # edge k + 1 leaves opposite edge k (2n if k = 0)
-        d = arrive[k - 1] ^ 2
-        mate[a] = d
-        mate[d] = a
-    return mate
+    return _pair(arrive)
 
 
 def orbit_count(mate: Sequence[int], turn: list[int]) -> int:
@@ -260,13 +313,14 @@ def orbit_count(mate: Sequence[int], turn: list[int]) -> int:
 def face_count(pd: PlanarDiagram) -> int:
     """Number of faces of the rotation system (n + 2 exactly on a sphere).
 
-    Reads ``pd.mates``, so ``end_mates`` rejects a malformed diagram first.
+    Pairs the ends with ``end_mates``, not ``pd.mates``, so it checks the
+    crossings themselves and rejects a malformed diagram first.
     """
     if pd.n == 0:
         return 2
     # the next slot counterclockwise at the same crossing
     turn = [(e & ~3) | ((e + 1) & 3) for e in range(4 * pd.n)]
-    return orbit_count(pd.mates, turn)
+    return orbit_count(end_mates(pd), turn)
 
 
 def validate_diagram(pd: PlanarDiagram) -> None:

@@ -31,8 +31,9 @@ crossing, with the structural checks that ``validate_diagram`` made
 before ``end_mates`` took them over.
 
 ``interlacement_bits_oracle`` is the orientation-bit rule of
-``realize._orientation_bits`` written over sets: every pair of chords
-compared once, and a depth-first walk one neighbour at a time.
+``realize._orientation_bits`` written over sets: ``interlacement_graph``
+compares every pair of chords once, and a depth-first walk takes one
+neighbour at a time and counts common neighbours by set intersection.
 """
 
 from __future__ import annotations
@@ -255,13 +256,11 @@ def end_mates_oracle(pd: PlanarDiagram) -> list[int]:
     return mate
 
 
-def interlacement_bits_oracle(code: DtCode) -> list[int]:
-    """Orientation bits by Rosenstiehl's rule on an explicit graph.
+def interlacement_graph(code: DtCode) -> list[set[int]]:
+    """The crossings each crossing interlaces with, every pair compared once.
 
     Chords (2i + 1, |a_i|) interlace when exactly one end of one lies
-    strictly inside the other.  Each component's lowest crossing gets
-    bit 0, and along each tree edge u -> v the bit flips when u and v
-    share an even number of neighbours and once per negative label.
+    strictly inside the other.
     """
     n = code.n
     chords = [sorted((2 * i + 1, abs(a))) for i, a in enumerate(code.labels)]
@@ -272,6 +271,18 @@ def interlacement_bits_oracle(code: DtCode) -> list[int]:
             if (a0 < b0 < a1) != (a0 < b1 < a1):
                 nbrs[i].add(j)
                 nbrs[j].add(i)
+    return nbrs
+
+
+def interlacement_bits_oracle(code: DtCode) -> list[int]:
+    """Orientation bits by Rosenstiehl's rule on ``interlacement_graph``.
+
+    Each component's lowest crossing gets bit 0, and along each tree
+    edge u -> v the bit flips when u and v share an even number of
+    neighbours and once per negative label.
+    """
+    n = code.n
+    nbrs = interlacement_graph(code)
     neg = [a < 0 for a in code.labels]
     bits: list[int | None] = [None] * n
     for root in range(n):

@@ -267,7 +267,7 @@ class TestVerifyPlumbing:
         assert "192 rows" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit", ["duplicate", "half-present", "191 rows",
-                                      "5000-digit label"])
+                                      "5000-digit label", "5000-digit name"])
     def test_bad_synthetic_census_exits_1(self, capsys, tmp_path, edit):
         lines = census_lines()
         if edit == "duplicate":
@@ -278,6 +278,8 @@ class TestVerifyPlumbing:
             fields = lines[0].split("\t")
             if edit == "half-present":
                 fields[3] = ""
+            elif edit == "5000-digit name":  # past the digit limit of int()
+                fields[0] = "K%sn1" % ("1" * 5000)
             else:  # past the digit limit of int()
                 fields[4] = "{{1},{%s}}" % ("2" * 5000)
             lines[0] = "\t".join(fields)

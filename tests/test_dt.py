@@ -113,6 +113,26 @@ def test_parse_rejects_bad_permutations(text: str, message: str) -> None:
         parse_dt(text)
 
 
+@pytest.mark.parametrize(("text", "message"), [
+    ("{{1},{%s}}" % ("2" * 4201), "label <13954-bit number> exceeds 2n = 2"),
+    ("{{1},{-%s}}" % ("3" * 4201), "label -<13954-bit number> is not a nonzero even number"),
+    ("{{%s},{2}}" % ("1" * 4201), "declared <13953-bit number> crossings but got 1 labels"),
+    ("{{1},{%s}}" % ("8" * 30), "label %s exceeds 2n = 2" % ("8" * 30)),
+], ids=["label", "odd-label", "count", "30-digit-label"])
+def test_long_numbers_are_elided_from_messages(text: str, message: str) -> None:
+    # a number of 31 digits or more shows as its sign and bit length
+    with pytest.raises(DtCodeError) as exc:
+        parse_dt(text)
+    assert str(exc.value) == message
+    assert len(message) < 200
+
+
+def test_labels_past_the_str_digit_limit_are_elided() -> None:
+    with pytest.raises(DtCodeError) as exc:
+        DtCode(1, (10**5000,))
+    assert str(exc.value) == "label <16610-bit number> exceeds 2n = 2"
+
+
 def test_classify_uniform_is_alternating() -> None:
     assert classify_signs(parse_dt(TREFOIL)).kind is SignKind.ALTERNATING
     assert classify_signs(parse_dt("{{3},{-4,-6,-2}}")).kind is SignKind.ALTERNATING

@@ -26,6 +26,7 @@ from diagram_fixtures import (
     dt_of,
     end_mates_oracle,
     interlacement_bits_oracle,
+    interlacement_graph,
     mirror,
     random_code,
     random_diagram,
@@ -98,6 +99,16 @@ def _braid_diagrams(seed: int, count: int, low: int, high: int) -> list[PlanarDi
     return diagrams
 
 
+def _small_codes(seed: int) -> list[DtCode]:
+    """Every arrangement of the evens with n = 1..6, under seeded signs."""
+    rng = random.Random(seed)
+    return [
+        DtCode(n, tuple(a if rng.random() < 0.5 else -a for a in perm))
+        for n in range(1, 7)
+        for perm in permutations(range(2, 2 * n + 1, 2))
+    ]
+
+
 def _braid_codes(seed: int, count: int, low: int, high: int) -> list[DtCode]:
     """The DT codes of ``_braid_diagrams``."""
     return [dt_of(pd) for pd in _braid_diagrams(seed, count, low, high)]
@@ -158,14 +169,8 @@ def test_exhaustive_small_codes_against_full_enumeration() -> None:
     # codes up to n = 12, checked against an independent tracer over the
     # pinned orientation space: realize rejects exactly when no word
     # embeds, and otherwise picks the first word that does.
-    rng = random.Random(33)
-    codes = [
-        DtCode(n, tuple(a if rng.random() < 0.5 else -a for a in perm))
-        for n in range(1, 7)
-        for perm in permutations(range(2, 2 * n + 1, 2))
-    ]
     witnesses = []
-    for code in codes + _braid_codes(34, 20, 7, 12):
+    for code in _small_codes(33) + _braid_codes(34, 20, 7, 12):
         result = try_realize(code)
         bits = _first_embedding_bits(code)
         if result.diagram is None:
@@ -197,6 +202,43 @@ def test_bits_match_the_interlacement_oracle() -> None:
             assert result.diagram == oracle, code
             accepted += 1
     assert 150 <= accepted < 300
+
+
+@pytest.mark.parametrize("text, subset_holds", [
+    ("{{6},{-8,6,-12,4,-10,2}}", False),
+    ("{{6},{-8,10,-12,-2,4,6}}", True),
+], ids=["common-neighbours-of-non-neighbours", "sides"])
+def test_both_reject_branches(text: str, subset_holds: bool) -> None:
+    # The 2nd and 444th draws of random_code(random.Random(40), 6).  In
+    # the first, two crossings that do not interlace share an odd number
+    # of neighbours, so a row of the GF(2) square leaves its row of the
+    # interlacement graph.  The second passes that test and fails only
+    # the side condition after the walk.  (Every crossing of a DT code
+    # has an even number of neighbours: an odd and an even pass enclose
+    # an even number of passes.)  The enumeration oracle finds no
+    # embedding word for either, and both get the fixed rejection text.
+    code = parse_dt(text)
+    nbrs = interlacement_graph(code)
+    assert all(len(vs) % 2 == 0 for vs in nbrs)
+    assert subset_holds == all(len(nbrs[u] & nbrs[v]) % 2 == 0
+                               for u in range(code.n) for v in range(u + 1, code.n)
+                               if v not in nbrs[u])
+    assert _first_embedding_bits(code) is None
+    with pytest.raises(NotRealizable) as exc:
+        realize(code)
+    assert str(exc.value) == (f"no planar orientation assignment for {text}: every 32 "
+                              f"candidate rotation system has fewer than 8 faces")
+
+
+def test_realized_mates_are_the_end_pairing() -> None:
+    # realize stores each diagram's mates as it assembles the crossings,
+    # without end_mates; on every code with n <= 6 that realizes and on
+    # seeded braid closures up to n = 81 they are what end_mates builds.
+    codes = _small_codes(33) + _braid_codes(40, 12, 13, 81)
+    realized = [pd for code in codes if (pd := try_realize(code).diagram)]
+    assert len(realized) > 12
+    for pd in realized:
+        assert pd.mates == tuple(end_mates(pd)), pd
 
 
 def test_mates_is_the_end_pairing_built_once() -> None:
