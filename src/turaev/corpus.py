@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from .dt import DtCode, DtCodeError, SignKind, classify_signs, parse_dt
+from .dt import DtCode, DtCodeError, SignKind, _quoted, classify_signs, parse_dt
 from .tangle import extract_substitutions
 
 __all__ = [
@@ -129,16 +129,16 @@ def _parse_line(lineno: int, line: str) -> CorpusRow:
     name, status, conway_min, conway_rep, dt_min, dt_rep, source = fields
     m = _NAME_RE.fullmatch(name)
     if not m:
-        raise CorpusError(f"line {lineno}: bad name {name!r}")
+        raise CorpusError(f"line {lineno}: bad name {_quoted(name)}")
     try:
         int(m.group(1))  # what CorpusRow.crossing_number reads
     except ValueError:  # the digits match, so only int()'s length limit
         raise CorpusError(f"line {lineno}: the crossing number in the name has "
                           f"more digits than int() converts") from None
     if status not in _STATUSES:
-        raise CorpusError(f"line {lineno}: bad status {status!r}")
+        raise CorpusError(f"line {lineno}: bad status {_quoted(status)}")
     if source not in _SOURCES:
-        raise CorpusError(f"line {lineno}: bad source {source!r}")
+        raise CorpusError(f"line {lineno}: bad source {_quoted(source)}")
     if not conway_min or not dt_min:
         raise CorpusError(f"line {lineno}: conway_min and dt_min are required")
     try:

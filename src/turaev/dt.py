@@ -54,6 +54,14 @@ def _shown(k: int) -> str:
     return f"{'-' if k < 0 else ''}<{abs(k).bit_length()}-bit number>"
 
 
+def _quoted(text: str) -> str:
+    """``repr(text)``, or for more than 40 characters the repr of the
+    first 40 and the length, so that a message stays short."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 @dataclass(frozen=True)
 class DtCode:
     """A validated signed DT code.
@@ -117,7 +125,7 @@ def parse_dt(text: str) -> DtCode:
     """
     m = _DT_RE.match(text)
     if m is None:
-        raise DtCodeError(f"not of the form {{{{n}},{{a1,...,an}}}}: {text!r}")
+        raise DtCodeError(f"not of the form {{{{n}},{{a1,...,an}}}}: {_quoted(text)}")
     body = m.group(2).strip()
     try:
         n = int(m.group(1))

@@ -60,11 +60,10 @@ with s_A and s_B the circle counts of its all-A and all-B states (Dasbach,
 Futer, Kalfagianni, Lin and Stoltzfus, arXiv math/0605571).  It is 0
 exactly on diagrams built from alternating pieces.
 
-Both invariants read the end pairing ``pd.mates``.  A diagram from
-``realize`` carries it from assembly, one closed strand by construction.
-On any other diagram it comes from the one structural check,
-``realize.end_mates``: a diagram that is not one closed strand through
-every crossing, and so a split one, raises ValueError there.
+Both invariants read the end pairing ``pd.mates``, which the one
+structural check ``realize.end_mates`` builds: a diagram that is not one
+closed strand through every crossing, and so a split one, raises
+ValueError there.
 """
 
 from __future__ import annotations
@@ -182,13 +181,12 @@ def bracket(pd: PlanarDiagram) -> LaurentPoly:
     mate = pd.mates
     # A table's weight is A^off * sum A^(a - b) delta^(closed) over its
     # partial states, evaluated at A = 2^w.  The diagram is one closed
-    # strand (``end_mates`` checked it, or ``realize`` built it so), so
-    # the state graph, one vertex per circle and one edge per crossing,
-    # is connected: a state has at most n + 1 circles, and the last is
-    # never weighted.  So exponents stay within n + 2n: the right shifts
-    # (A^-1, A^-2) drop only zero digits, and a bracket coefficient, at
-    # most 2^n states times 2^n, is below 2^(w - 1), one signed base-2^w
-    # digit.
+    # strand (``end_mates`` checked it), so the state graph, one vertex
+    # per circle and one edge per crossing, is connected: a state has at
+    # most n + 1 circles, and the last is never weighted.  So exponents
+    # stay within n + 2n: the right shifts (A^-1, A^-2) drop only zero
+    # digits, and a bracket coefficient, at most 2^n states times 2^n, is
+    # below 2^(w - 1), one signed base-2^w digit.
     w, w2, off = 2 * n + 4, 4 * n + 8, 3 * n + 2
     layer = {array("I", mate).tobytes(): 1 << (w * off)}
     for step, c in enumerate(_frontier_order(mate, n)):

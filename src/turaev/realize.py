@@ -95,14 +95,9 @@ class PlanarDiagram:
 
     @cached_property
     def mates(self) -> tuple[int, ...]:
-        """``end_mates(self)``, built once per diagram.
-
-        Stored on the instance, not as a field, so ``==`` and ``hash``
-        still see only ``crossings``.  ``realize`` stores it as it
-        assembles the crossings, from the arrival ends it places, with
-        the pairing that ``end_mates`` ends with; its diagrams are one
-        closed strand by construction.
-        """
+        """``end_mates(self)``, built once per diagram and stored on the
+        instance, not as a field, so ``==`` and ``hash`` still see only
+        ``crossings``."""
         return tuple(end_mates(self))
 
     @property
@@ -187,40 +182,21 @@ def _orientation_bits(code: DtCode) -> list[int] | None:
     return bits
 
 
-def _pair(arrive: list[int]) -> list[int]:
-    """Involution pairing the two ends of each edge, from its arrival ends.
-
-    ``arrive[k - 1]`` is the arrival end of edge k; edge k departs from
-    the end opposite edge k - 1's arrival (edge 2n's when k = 1).
-    """
-    mate = [0] * (2 * len(arrive))
-    for k, a in enumerate(arrive):
-        d = arrive[k - 1] ^ 2
-        mate[a] = d
-        mate[d] = a
-    return mate
-
-
 def _assemble(code: DtCode, bits: list[int]) -> PlanarDiagram:
-    """The diagram of ``code`` under ``bits``, with ``mates`` already set."""
+    """The diagram of ``code`` under ``bits``."""
     two_n = 2 * code.n
     crossings = []
-    arrive = [0] * two_n  # arrive[k - 1]: the arrival end of edge k
     for i, (a, b) in enumerate(zip(code.labels, bits)):
         odd, even = 2 * i, abs(a) - 1  # 0-based pass times
         u, o = (even, odd) if a > 0 else (odd, even)
         # pass t arrives along edge t (edge 2n at pass 0), leaves along t + 1
         u_in, o_in = (u - 1) % two_n + 1, (o - 1) % two_n + 1
-        over = 3 if b else 1
         if b == 0:
             slots = (u_in, o_in, u + 1, o + 1)
         else:
             slots = (u_in, o + 1, u + 1, o_in)
-        crossings.append(Crossing(slots, over))
-        arrive[u_in - 1], arrive[o_in - 1] = 4 * i, 4 * i + over
-    pd = PlanarDiagram(tuple(crossings))
-    pd.__dict__["mates"] = tuple(_pair(arrive))  # the cached_property's value
-    return pd
+        crossings.append(Crossing(slots, 3 if b else 1))
+    return PlanarDiagram(tuple(crossings))
 
 
 def realize(code: DtCode) -> PlanarDiagram:
@@ -281,7 +257,12 @@ def end_mates(pd: PlanarDiagram) -> list[int]:
                     f"{s ^ 2} carries {slots[s ^ 2]}, not {e % two_n + 1}"
                 )
             arrive[e - 1] = 4 * c + s
-    return _pair(arrive)
+    mate = [0] * (2 * two_n)
+    for k, a in enumerate(arrive):
+        d = arrive[k - 1] ^ 2
+        mate[a] = d
+        mate[d] = a
+    return mate
 
 
 def orbit_count(mate: Sequence[int], turn: list[int]) -> int:
@@ -313,14 +294,13 @@ def orbit_count(mate: Sequence[int], turn: list[int]) -> int:
 def face_count(pd: PlanarDiagram) -> int:
     """Number of faces of the rotation system (n + 2 exactly on a sphere).
 
-    Pairs the ends with ``end_mates``, not ``pd.mates``, so it checks the
-    crossings themselves and rejects a malformed diagram first.
+    Reads ``pd.mates``, so ``end_mates`` rejects a malformed diagram first.
     """
     if pd.n == 0:
         return 2
     # the next slot counterclockwise at the same crossing
     turn = [(e & ~3) | ((e + 1) & 3) for e in range(4 * pd.n)]
-    return orbit_count(end_mates(pd), turn)
+    return orbit_count(pd.mates, turn)
 
 
 def validate_diagram(pd: PlanarDiagram) -> None:

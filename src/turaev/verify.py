@@ -21,8 +21,8 @@ A stage that raises a ValueError (``jones``: BracketTooWide,
 NormalizationFailure; ``turaev_genus``: an impossible circle count)
 fails the checks it feeds, and the row gets a warning "<row>: <stage>
 raised <Type>: <message>"; the other rows still run.  Every diagram
-comes from ``realize``, which builds it from the code as one closed
-strand and stores the end pairing that ``end_mates`` would return.
+comes from ``realize`` and its end pairing from ``end_mates``, the one
+structural check of a diagram.
 
 A report row is the name, the verdict, one column per CHECK_NAMES
 entry and one per VALUE_COLUMNS entry, in that order in JSON and CSV;

@@ -27,8 +27,7 @@ the opposite reflection.
 
 ``end_mates_oracle`` is the end pairing of ``realize.end_mates`` built
 from explicit arrival and departure maps over all four slots of every
-crossing, with the structural checks that ``validate_diagram`` made
-before ``end_mates`` took them over.
+crossing, with its own structural checks.
 
 ``interlacement_bits_oracle`` is the orientation-bit rule of
 ``realize._orientation_bits`` written over sets: ``interlacement_graph``

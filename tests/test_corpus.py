@@ -72,6 +72,15 @@ class TestParseLine:
         with pytest.raises(CorpusError, match="line 1: bad source 'table9'"):
             _parse_line(1, GOOD.replace("table1+2", "table9"))
 
+    @pytest.mark.parametrize("index, field", [(0, "name"), (1, "status"), (6, "source")],
+                             ids=["name", "status", "source"])
+    def test_long_field_is_elided(self, index, field):
+        fields = GOOD.split("\t")
+        fields[index] = "x" * 10000
+        with pytest.raises(CorpusError) as exc:
+            _parse_line(1, "\t".join(fields))
+        assert str(exc.value) == f"line 1: bad {field} '{'x' * 40}'... (10000 characters)"
+
     def test_bad_dt_syntax(self):
         with pytest.raises(CorpusError, match="line 1: not of the form"):
             _parse_line(1, GOOD.replace("{{13},", "{{13,", 1))

@@ -118,9 +118,12 @@ def test_parse_rejects_bad_permutations(text: str, message: str) -> None:
     ("{{1},{-%s}}" % ("3" * 4201), "label -<13954-bit number> is not a nonzero even number"),
     ("{{%s},{2}}" % ("1" * 4201), "declared <13953-bit number> crossings but got 1 labels"),
     ("{{1},{%s}}" % ("8" * 30), "label %s exceeds 2n = 2" % ("8" * 30)),
-], ids=["label", "odd-label", "count", "30-digit-label"])
+    ("x" * 10000, "not of the form {{n},{a1,...,an}}: '%s'... (10000 characters)" % ("x" * 40)),
+    ("x" * 40, "not of the form {{n},{a1,...,an}}: '%s'" % ("x" * 40)),
+], ids=["label", "odd-label", "count", "30-digit-label", "long-text", "40-character-text"])
 def test_long_numbers_are_elided_from_messages(text: str, message: str) -> None:
-    # a number of 31 digits or more shows as its sign and bit length
+    # a number of 31 digits or more shows as its sign and bit length, and
+    # text of more than 40 characters as its first 40 and its length
     with pytest.raises(DtCodeError) as exc:
         parse_dt(text)
     assert str(exc.value) == message

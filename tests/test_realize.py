@@ -230,21 +230,30 @@ def test_both_reject_branches(text: str, subset_holds: bool) -> None:
                               f"candidate rotation system has fewer than 8 faces")
 
 
-def test_realized_mates_are_the_end_pairing() -> None:
-    # realize stores each diagram's mates as it assembles the crossings,
-    # without end_mates; on every code with n <= 6 that realizes and on
-    # seeded braid closures up to n = 81 they are what end_mates builds.
+def test_realized_diagrams_are_plane() -> None:
+    # Every code with n <= 6 that realizes and seeded braid closures up
+    # to n = 81: end_mates accepts the crossings realize assembles, and
+    # their rotation system has the n + 2 faces of the sphere.
     codes = _small_codes(33) + _braid_codes(40, 12, 13, 81)
     realized = [pd for code in codes if (pd := try_realize(code).diagram)]
     assert len(realized) > 12
     for pd in realized:
-        assert pd.mates == tuple(end_mates(pd)), pd
+        validate_diagram(pd)
 
 
-def test_mates_is_the_end_pairing_built_once() -> None:
+def test_mates_is_the_end_pairing_built_once(monkeypatch) -> None:
+    calls = []
+
+    def counting_end_mates(pd: PlanarDiagram) -> list[int]:
+        calls.append(pd)
+        return end_mates(pd)
+
+    monkeypatch.setattr("turaev.realize.end_mates", counting_end_mates)
     pd = realize(TWELVE_REP)
     assert pd.mates == tuple(end_mates(pd))
+    assert calls == [pd]
     assert pd.mates is pd.mates
+    assert calls == [pd]
     fresh = realize(TWELVE_REP)
     assert pd == fresh and hash(pd) == hash(fresh)
     assert [f.name for f in dataclasses.fields(PlanarDiagram)] == ["crossings"]
