@@ -143,14 +143,12 @@ def format_dt(code: DtCode) -> str:
 def classify_signs(code: DtCode) -> SignClass:
     """Classify a code by its sign pattern.
 
-    Uniform sign (or n <= 1) is Alternating.  Exactly one entry of the
-    minority sign is AlmostAlternating, reported with that entry's
-    0-based index.  For n = 2 with one sign each, the negative entry is
-    taken as the minority, so flipping it yields an all-positive code.
-    Everything else is Other.
+    Uniform sign (so every code with n <= 1) is Alternating.  Exactly
+    one entry of the minority sign is AlmostAlternating, reported with
+    that entry's 0-based index.  For n = 2 with one sign each, the
+    negative entry is taken as the minority, so flipping it yields an
+    all-positive code.  Everything else is Other.
     """
-    if code.n <= 1:
-        return SignClass(SignKind.ALTERNATING)
     neg = [i for i, a in enumerate(code.labels) if a < 0]
     k = len(neg)
     if k == 0 or k == code.n:

@@ -48,7 +48,7 @@ from functools import cached_property
 from itertools import accumulate
 from operator import xor
 
-from .dt import DtCode
+from .dt import DtCode, _shown
 
 __all__ = [
     "Crossing",
@@ -210,8 +210,8 @@ def realize(code: DtCode) -> PlanarDiagram:
     if bits is None:
         raise NotRealizable(
             f"no planar orientation assignment for {code}: every "
-            f"{1 << (code.n - 1)} candidate rotation system has fewer than "
-            f"{code.n + 2} faces"
+            f"{_shown(1 << (code.n - 1))} candidate rotation system has "
+            f"fewer than {code.n + 2} faces"
         )
     return _assemble(code, bits)
 

@@ -28,13 +28,15 @@ P, -1, T with P over 1..9, so P spells the continued fraction of its
 own value y >= 1 and is read off, not searched, once T is fixed.  T is
 walked backward from the target.  At a backward node v (the value
 right after the -1), write -v = [0; a_1 .. a_k]; a further backward
-step only prepends entries to this continued fraction, so every
-descendant's P repeats a_2 .. a_{k-1} and nearly a_1 and a_k.  The
-pruning lemma in the function's docstring turns this into cuts of
-every subtree that would need an entry above 9 or a longer word than
-the best one found.  No state is kept between calls.  This follows the
-continued-fraction normal forms of rational tangles (Kauffman and
-Lambropoulou, "On the classification of rational tangles", 2004).
+step only prepends entries to this continued fraction, so the search
+carries it down, and every descendant's P repeats a_2 .. a_{k-1} and
+nearly a_1 and a_k.  The pruning lemma in the function's docstring
+turns this into cuts of every subtree that would need an entry above 9
+or a longer word than the best one found, and shows that only the
+first two levels branch.  No state is kept between calls.  This
+follows the continued-fraction normal forms of rational tangles
+(Kauffman and Lambropoulou, "On the classification of rational
+tangles", 2004).
 Nonnegative fractions are returned as their plain continued-fraction
 word with no -1 at all, in the first of its two spellings whose
 entries stay within 0..9 (10 is "1 9"); the caller can tell the two
@@ -198,11 +200,11 @@ def _continued_fraction(p: int, d: int) -> list[int]:
     return quotients
 
 
-def _prefixes(p: int, d: int) -> list[tuple[int, ...]]:
-    """The continued-fraction words of p/d >= 0 with entries at most 9,
-    in both spellings, ending in c_m or in c_m - 1, 1.  For p/d >= 1
-    these are all the words over 1..9 whose fraction is p/d."""
-    quotients = _continued_fraction(p, d)
+def _spellings(quotients: list[int]) -> list[tuple[int, ...]]:
+    """The words [c_m .. c_0] and [1, c_m - 1 .. c_0] of the canonical
+    continued fraction [c_0; c_1, .., c_m] of a value >= 0, those of
+    them whose entries are at most 9.  For a value >= 1 these are all
+    the words over 1..9 with that fraction."""
     spellings = [quotients]
     if quotients[-1] >= 2:
         spellings.append([*quotients[:-1], quotients[-1] - 1, 1])
@@ -223,20 +225,30 @@ def synthesize_one_minus_one(q: ExtendedRational) -> TangleWord:
     node per suffix, with v <- 1/(v - e); at a node v < 0 (the value
     right after the -1) the prefix has fraction y = 1/(1 + v), so P is
     empty at v = -1 and otherwise, for -1 < v < 0, one of the two
-    spellings of the continued fraction of y (see ``_prefixes``).
+    spellings of the continued fraction of y (see ``_spellings``).
 
-    Pruning lemma.  Write -v = [0; a_1 .. a_k] for -1 < v < 0.  A
-    backward step only prepends entries to this continued fraction
-    (after a final zero step from the root, a_1 grows instead), so the
-    continued fraction of y at every descendant holds a_2 .. a_{k-1}
-    verbatim, a_1 or a_1 + 1 (at least a_1), and a_k or a_k - 1 in
-    last place.  The subtree is dead when some a_i > 9 for i < k or
-    a_k > 10, and each of its words has length >= len(T) + k + 2.
+    Pruning lemma.  Write -v = [0; a_1 .. a_k] for -1 < v < 0 and let
+    m = len(T); y is [1; a_1 - 1, a_2 .. a_k] ([1; 1] is [2]), or
+    [a_2 + 1; a_3 .. a_k] when a_1 = 1.  A step e >= 1 prepends e:
+    -v' = [0; e, a_1 .. a_k] (after the zero step at the root, a_1
+    grows instead), so a is carried down, and worked out afresh only
+    below a node with v <= -1, which occurs on the first two levels.
+    (1) Every y below repeats a_2 .. a_{k-1} and at least a_1 and ends
+    in a_k or a_k - 1, so the subtree is dead when some a_i > 9 for
+    i < k or a_k > 10; a prepended e <= 9 keeps a live node live.
+    (2) Every word below the node has length >= m + k + 2, and at or
+    below its child e >= 2, whose y is [1; e - 1, a_1 .. a_k],
+    >= m + k + 4.  (3) A live node, or else (when a_1 = 1 and
+    a_2 >= 9) its child e = 1, whose y is [a_1 + 1; a_2 .. a_k], has
+    a word of length <= m + k + 3.  So a node in (-1, 0) visits only
+    its child e = 1, and is cut when (2) exceeds the best length found
+    (or the cap before any) but not at a tie: that child can still
+    hold the first word of that length.
     """
     if q.is_infinite:
         raise ValueError("cannot synthesize a word for infinity")
     if q.p >= 0:
-        words = _prefixes(q.p, q.q)
+        words = _spellings(_continued_fraction(q.p, q.q))
         if not words:
             raise NotFound(f"no continued-fraction word of {q} has entries "
                            "in 0..9")
@@ -244,23 +256,30 @@ def synthesize_one_minus_one(q: ExtendedRational) -> TangleWord:
 
     best: tuple[int, tuple[int, ...]] | None = None  # (length, word)
 
-    def visit(p: int, d: int, tail: tuple[int, ...]) -> None:
-        """Node v = p/d < 0, the value right after the -1 when T = tail."""
+    def visit(p: int, d: int, tail: tuple[int, ...], a: list[int] | None) -> None:
+        """Node v = p/d < 0, the value right after the -1 when T = tail;
+        a = [a_1 .. a_k] as in the lemma, None when not yet known."""
         nonlocal best
-        heads = [()] if p == -d else _prefixes(d, d + p) if -p < d else []
+        fresh = a is None and -p < d
+        if fresh:
+            a = _continued_fraction(-p, d)[1:]
+        if a:  # y as in the lemma
+            heads = _spellings([a[1] + 1, *a[2:]] if a[0] == 1 else [2] if a == [2]
+                               else [1, a[0] - 1, *a[1:]])
+        else:
+            heads = [()] if p == -d else []
         for head in heads:
             key = (len(tail) + len(head) + 1, (*head, -1, *tail))
             if key[0] <= MAX_SYNTH_LENGTH and (best is None or key < best):
                 best = key
-        a = _continued_fraction(-p, d)[1:] if -p < d else []
-        if a and (any(x > 9 for x in a[:-1]) or a[-1] > 10):
+        if fresh and (any(x > 9 for x in a[:-1]) or a[-1] > 10):
             return
-        if len(tail) + len(a) + 2 > (best[0] if best else MAX_SYNTH_LENGTH):
+        if len(tail) + len(a or ()) + 2 > (best[0] if best else MAX_SYNTH_LENGTH):
             return
-        for e in range(1 if tail else 0, 10):  # a zero only in final position
-            visit(-d, e * d - p, (e, *tail))
+        for e in range(1 if tail else 0, 2 if a else 10):  # zeros final only
+            visit(-d, e * d - p, (e, *tail), [e, *a] if a and e else None)
 
-    visit(q.p, q.q, ())
+    visit(q.p, q.q, (), None)
     if best is None:
         raise NotFound(
             f"no word of length <= {MAX_SYNTH_LENGTH} with entries in [-1, 9] "

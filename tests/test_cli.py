@@ -77,6 +77,14 @@ class TestSingleShotCommands:
             got, want = capsys.readouterr().out.splitlines()
             assert got == want
 
+    def test_missing_argument_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["jones"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: turaev jones [-h] dtcode")
+        assert "required: dtcode" in err
+
     def test_bad_dt_code_exits_2(self, capsys):
         assert main(["jones", "{{3},{4,6"]) == 2
         assert "error" in capsys.readouterr().err

@@ -141,6 +141,7 @@ def test_classify_uniform_is_alternating() -> None:
     assert classify_signs(parse_dt("{{3},{-4,-6,-2}}")).kind is SignKind.ALTERNATING
     assert classify_signs(parse_dt("{{0},{}}")).kind is SignKind.ALTERNATING
     assert classify_signs(parse_dt("{{1},{-2}}")).kind is SignKind.ALTERNATING
+    assert classify_signs(parse_dt("{{1},{2}}")).kind is SignKind.ALTERNATING
 
 
 def test_classify_single_minority() -> None:

@@ -230,6 +230,14 @@ def test_both_reject_branches(text: str, subset_holds: bool) -> None:
                               f"candidate rotation system has fewer than 8 faces")
 
 
+def test_rejection_of_a_huge_code_names_the_count_by_its_bits() -> None:
+    # 2^14999 has more digits than str() converts, so the message gives
+    # its bit length; up to n = 100 it stays in decimal, as above
+    result = try_realize(random_code(random.Random(0), 15000))
+    assert result.diagram is None
+    assert "every <15000-bit number> candidate rotation system" in result.obstruction
+
+
 def test_realized_diagrams_are_plane() -> None:
     # Every code with n <= 6 that realizes and seeded braid closures up
     # to n = 81: end_mates accepts the crossings realize assembles, and

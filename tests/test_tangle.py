@@ -5,12 +5,13 @@ exhaustive enumeration of every word of length <= 5, whose first word
 in (length, lexicographic) order for each negative fraction must come
 back exactly, and the table of all coprime -p/q with p, q <= 40 in
 ``perfbench/golden.json``, recorded from an independent
-meet-in-the-middle search (found words and NotFounds alike).  Random
-targets drawn as fractions of random valid words check the fraction
-round trip up to the full length of 12.  ``fraction`` is checked
-against a plain ``fractions.Fraction`` evaluation, and nonnegative
-synthesis against the continued-fraction spellings computed the same
-way.
+meet-in-the-middle search (found words and NotFounds alike).  The
+number of search nodes visited over that table is pinned, so a search
+that prunes less fails as well.  Random targets drawn as fractions of
+random valid words check the fraction round trip up to the full length
+of 12.  ``fraction`` is checked against a plain ``fractions.Fraction``
+evaluation, and nonnegative synthesis against the continued-fraction
+spellings computed the same way.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -80,6 +82,26 @@ def _fraction_oracle(entries: tuple[int, ...]) -> Fraction | None:
     for e in entries[1:]:
         acc = Fraction(e) if acc is None else None if acc == 0 else e + 1 / acc
     return acc
+
+
+def _visits(target: ExtendedRational) -> int:
+    """Calls of the search's nested ``visit`` while synthesizing target."""
+    calls = 0
+
+    def count(frame, event, arg) -> None:
+        nonlocal calls
+        code = frame.f_code
+        calls += (event == "call" and code.co_name == "visit" and code.co_filename
+                  == synthesize_one_minus_one.__code__.co_filename)
+
+    sys.setprofile(count)
+    try:
+        synthesize_one_minus_one(target)
+    except NotFound:
+        pass
+    finally:
+        sys.setprofile(None)
+    return calls
 
 
 def _digit_spellings(x: Fraction) -> list[tuple[int, ...]]:
@@ -263,6 +285,30 @@ class TestSynthesize:
             except NotFound:
                 got = None
             assert got == want, text
+
+    def test_search_visits_few_nodes(self) -> None:
+        # the visits per golden target: a search that cuts less than the
+        # pruning lemma allows visits more nodes somewhere
+        targets = json.loads(GOLDEN.read_text())["synth-search"]["targets"]
+        visits = [_visits(_er(text)) for text in targets]
+        assert max(visits) == 20
+        assert sum(visits) == 9147
+
+    def test_length_cap(self) -> None:
+        # Fibonacci ratios need one more 1 per step, up to 12 entries
+        for q, want in [("-34/89", "2 1 1 1 1 1 1 1 1 -1"),
+                        ("-55/144", "2 1 1 1 1 1 1 1 1 1 -1"),
+                        ("-89/233", "2 1 1 1 1 1 1 1 1 1 1 -1")]:
+            assert render_word(synthesize_one_minus_one(_er(q))) == want
+        with pytest.raises(NotFound):
+            synthesize_one_minus_one(_er("-144/377"))
+
+    def test_only_word_at_the_node_bound(self) -> None:
+        # -v = [0; 1, 9, 2, .., 2] at the root has no word of its own;
+        # the only one is the e = 1 child's, of length k + 2 = 12, so
+        # the cut must spare a subtree whose bound equals the cap
+        w = synthesize_one_minus_one(_er("-9273/10258"))
+        assert render_word(w) == "2 2 2 2 2 2 2 2 9 2 -1 1"
 
     def test_nonnegative_passthrough(self) -> None:
         for q, want in [("7/3", "3 2"), ("0", "0"), ("5", "5"), ("1/2", "2 0"),
