@@ -91,17 +91,23 @@ class NormalizationFailure(ValueError):
 
 
 class BracketTooWide(ValueError):
-    """A contraction layer holds more than ``_MAX_TABLES`` arc tables.
+    """A diagram of more than ``_MAX_CROSSINGS`` crossings, or a
+    contraction layer of more than ``_MAX_TABLES`` arc tables.
 
-    The cap turns a diagram whose width explodes into a clear error
+    The caps turn a diagram whose width explodes into a clear error
     instead of a run of hours.  Measured peaks are at most 18 tables on
     the census diagrams and at most 538 on 60 seeded alternating
-    4-braid closures up to n = 61, so the cap is far above any diagram
-    the census needs.
+    4-braid closures up to n = 61, so the table cap is far above any
+    diagram the census needs.  A table's weight has about 6n^2 bits,
+    so even the torus knot T(2, n), whose layers hold few tables, took
+    3.6 s at n = 801, 32 s at n = 1601 and 66 s at n = 2001 on a 2-CPU
+    x86 container; the crossing cap stops such a diagram before its
+    first contraction.  The census needs n <= 17 and the tests n <= 81.
     """
 
 
 _MAX_TABLES = 1 << 16
+_MAX_CROSSINGS = 2000
 
 _A_FLIP, _B_FLIP = 1, 3  # a smoothing joins end 4c + s to 4c + (s ^ flip)
 
@@ -171,11 +177,15 @@ def bracket(pd: PlanarDiagram) -> LaurentPoly:
 
     Crossings are contracted in ``_frontier_order``.  Raises
     ValueError from ``end_mates`` unless the diagram is one closed
-    strand, BracketTooWide when a layer exceeds ``_MAX_TABLES`` arc
-    tables, and NormalizationFailure when two exponents differ mod 4,
-    which no plane diagram gives.
+    strand, BracketTooWide when it has more than ``_MAX_CROSSINGS``
+    crossings or a layer exceeds ``_MAX_TABLES`` arc tables, and
+    NormalizationFailure when two exponents differ mod 4, which no
+    plane diagram gives.
     """
     n = pd.n
+    if n > _MAX_CROSSINGS:
+        raise BracketTooWide(f"bracket of a {n}-crossing diagram: over the "
+                             f"cap of {_MAX_CROSSINGS} crossings")
     if n == 0:
         return LaurentPoly.one("A")
     mate = pd.mates

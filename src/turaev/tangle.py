@@ -28,12 +28,15 @@ P, -1, T with P over 1..9, so P spells the continued fraction of its
 own value y >= 1 and is read off, not searched, once T is fixed.  T is
 walked backward from the target.  At a backward node v (the value
 right after the -1), write -v = [0; a_1 .. a_k]; a further backward
-step only prepends entries to this continued fraction, so the search
-carries it down, and every descendant's P repeats a_2 .. a_{k-1} and
-nearly a_1 and a_k.  The pruning lemma in the function's docstring
-turns this into cuts of every subtree that would need an entry above 9
-or a longer word than the best one found, and shows that only the
-first two levels branch.  No state is kept between calls.  This
+step only prepends entries to this continued fraction, or adds to its
+first quotient below -1, so Euclid runs once, at the root, and every
+node takes its quotients from its parent.  Every descendant's P
+repeats a_2 .. a_{k-1} and nearly a_1 and a_k.  The pruning lemma in
+the function's docstring turns this into cuts of every subtree that
+would need an entry above 9 or a longer word than the best one found,
+shows that only the first two levels branch, and stops a branching
+loop at the first child whose words would all be too long.  No state
+is kept between calls.  This
 follows the continued-fraction normal forms of rational tangles
 (Kauffman and Lambropoulou, "On the classification of rational
 tangles", 2004).
@@ -200,15 +203,24 @@ def _continued_fraction(p: int, d: int) -> list[int]:
     return quotients
 
 
-def _spellings(quotients: list[int]) -> list[tuple[int, ...]]:
-    """The words [c_m .. c_0] and [1, c_m - 1 .. c_0] of the canonical
-    continued fraction [c_0; c_1, .., c_m] of a value >= 0, those of
-    them whose entries are at most 9.  For a value >= 1 these are all
-    the words over 1..9 with that fraction."""
-    spellings = [quotients]
-    if quotients[-1] >= 2:
-        spellings.append([*quotients[:-1], quotients[-1] - 1, 1])
-    return [tuple(reversed(s)) for s in spellings if max(s) <= 9]
+def _spelling(quotients: list[int]) -> tuple[int, ...] | None:
+    """The shortest word with entries at most 9 whose fraction is the
+    value >= 0 with canonical continued fraction [c_0; c_1, .., c_m]:
+    [c_m .. c_0], or [1, 9, c_{m-1} .. c_0] when c_m = 10, None when
+    neither fits.  For a value >= 1 the words over 1..9 with that
+    fraction are [c_m .. c_0] and [1, c_m - 1 .. c_0], so the first
+    is the shorter one whenever both fit."""
+    head, last = quotients[-2::-1], quotients[-1]
+    if max(head, default=0) > 9 or last > 10:
+        return None
+    return (last, *head) if last <= 9 else (1, 9, *head)
+
+
+def _live(a: list[int]) -> bool:
+    """Lemma (1) of ``synthesize_one_minus_one`` at -v = [0; a_1 ..
+    a_k]: False, and every word below needs an entry above 9, when
+    a_i > 9 for some i < k or a_k > 10."""
+    return max(a[:-1], default=0) <= 9 and a[-1] <= 10
 
 
 def synthesize_one_minus_one(q: ExtendedRational) -> TangleWord:
@@ -225,14 +237,20 @@ def synthesize_one_minus_one(q: ExtendedRational) -> TangleWord:
     node per suffix, with v <- 1/(v - e); at a node v < 0 (the value
     right after the -1) the prefix has fraction y = 1/(1 + v), so P is
     empty at v = -1 and otherwise, for -1 < v < 0, one of the two
-    spellings of the continued fraction of y (see ``_spellings``).
+    spellings of the continued fraction of y, of which ``_spelling``
+    keeps the shorter that fits.  A node v < -1 ends no word.
+
+    A step only prepends to continued fractions: when -v = [c_0; c_1
+    .. c_j], its child e >= 1 has -v' = [0; e + c_0, c_1 .. c_j], and
+    the zero step, taken only at the root, inverts -v.  So Euclid runs
+    once, at the root, and every node takes its quotients from its
+    parent.  Only the root and its child e = 0 can lie below -1.
 
     Pruning lemma.  Write -v = [0; a_1 .. a_k] for -1 < v < 0 and let
     m = len(T); y is [1; a_1 - 1, a_2 .. a_k] ([1; 1] is [2]), or
-    [a_2 + 1; a_3 .. a_k] when a_1 = 1.  A step e >= 1 prepends e:
-    -v' = [0; e, a_1 .. a_k] (after the zero step at the root, a_1
-    grows instead), so a is carried down, and worked out afresh only
-    below a node with v <= -1, which occurs on the first two levels.
+    [a_2 + 1; a_3 .. a_k] when a_1 = 1, and the node's own words have
+    length >= m + len(y) + 1, so P is spelled only when that is at most
+    the best length found (or the cap before any).
     (1) Every y below repeats a_2 .. a_{k-1} and at least a_1 and ends
     in a_k or a_k - 1, so the subtree is dead when some a_i > 9 for
     i < k or a_k > 10; a prepended e <= 9 keeps a live node live.
@@ -243,43 +261,62 @@ def synthesize_one_minus_one(q: ExtendedRational) -> TangleWord:
     a word of length <= m + k + 3.  So a node in (-1, 0) visits only
     its child e = 1, and is cut when (2) exceeds the best length found
     (or the cap before any) but not at a tie: that child can still
-    hold the first word of that length.
+    hold the first word of that length.  (4) Below a node v < -1 with
+    len(T) = m, a child with a_1 = e + c_0 >= 2 and a != [2] has
+    len(y) = k + 1, so by (2) every word at or below it has length
+    >= m + k + 3.  Every larger e keeps k and a_1 >= 2, so the loop
+    over e stops at the first such child whose bound exceeds the best
+    length.
     """
     if q.is_infinite:
         raise ValueError("cannot synthesize a word for infinity")
     if q.p >= 0:
-        words = _spellings(_continued_fraction(q.p, q.q))
-        if not words:
+        word = _spelling(_continued_fraction(q.p, q.q))
+        if word is None:
             raise NotFound(f"no continued-fraction word of {q} has entries "
                            "in 0..9")
-        return TangleWord(words[0])
+        return TangleWord(word)
 
     best: tuple[int, tuple[int, ...]] | None = None  # (length, word)
+    limit = MAX_SYNTH_LENGTH  # best[0] once a word is found
 
-    def visit(p: int, d: int, tail: tuple[int, ...], a: list[int] | None) -> None:
-        """Node v = p/d < 0, the value right after the -1 when T = tail;
-        a = [a_1 .. a_k] as in the lemma, None when not yet known."""
-        nonlocal best
-        fresh = a is None and -p < d
-        if fresh:
-            a = _continued_fraction(-p, d)[1:]
-        if a:  # y as in the lemma
-            heads = _spellings([a[1] + 1, *a[2:]] if a[0] == 1 else [2] if a == [2]
-                               else [1, a[0] - 1, *a[1:]])
-        else:
-            heads = [()] if p == -d else []
-        for head in heads:
-            key = (len(tail) + len(head) + 1, (*head, -1, *tail))
-            if key[0] <= MAX_SYNTH_LENGTH and (best is None or key < best):
-                best = key
-        if fresh and (any(x > 9 for x in a[:-1]) or a[-1] > 10):
+    def visit(tail: tuple[int, ...], a: list[int], live: bool) -> None:
+        """Node -1 < v < 0, the value right after the -1 when T = tail,
+        with -v = [0; a_1 .. a_k]; live is False when (1) cuts below."""
+        nonlocal best, limit
+        m = len(tail)
+        y = ([a[1] + 1, *a[2:]] if a[0] == 1 else [2] if a == [2]
+             else [1, a[0] - 1, *a[1:]])
+        head = _spelling(y) if m + len(y) + 1 <= limit else None
+        if head is not None:
+            key = (m + len(head) + 1, (*head, -1, *tail))
+            if key[0] <= limit and (best is None or key < best):
+                best, limit = key, key[0]
+        if not live or m + len(a) + 2 > limit:
             return
-        if len(tail) + len(a or ()) + 2 > (best[0] if best else MAX_SYNTH_LENGTH):
-            return
-        for e in range(1 if tail else 0, 2 if a else 10):  # zeros final only
-            visit(-d, e * d - p, (e, *tail), [e, *a] if a and e else None)
+        if not tail:
+            branch((0,), a)
+        visit((1, *tail), [1, *a], True)
 
-    visit(q.p, q.q, (), None)
+    def branch(tail: tuple[int, ...], c: list[int]) -> None:
+        """Node v < -1 with -v = [c_0; c_1 .. c_j]: its children e."""
+        m = len(tail)
+        # (1) on a = [e + c_0, c_1 .. c_j]: only a_1 differs among them
+        rest = c[1:]
+        top = 10 if not rest else 9 if _live(rest) else 0
+        for e in range(1 if tail else 0, 10):  # zeros final only
+            a = [e + c[0], *rest]
+            if a[0] >= 2 and a != [2] and m + len(a) + 3 > limit:
+                break  # (4)
+            visit((e, *tail), a, a[0] <= top)
+
+    c = _continued_fraction(-q.p, q.q)
+    if c == [1]:
+        return TangleWord((-1,))
+    if c[0]:
+        branch((), c)
+    else:
+        visit((), c[1:], _live(c[1:]))
     if best is None:
         raise NotFound(
             f"no word of length <= {MAX_SYNTH_LENGTH} with entries in [-1, 9] "

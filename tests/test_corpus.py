@@ -156,6 +156,12 @@ class TestLoadCorpus:
             load_corpus("embedded")
 
 
+def _almost_alternating(n):
+    """{{n},{-4,6,8,...,2n,2}}: one negative label among n."""
+    labels = [-4, *range(6, 2 * n + 1, 2), 2]
+    return parse_dt("{{%d},{%s}}" % (n, ",".join(map(str, labels))))
+
+
 def _mkrow(**kw):
     base = dict(
         name="K12n1", status="resolved", conway_min="2 1",
@@ -187,9 +193,15 @@ class TestValidateCorpus:
             validate_corpus([_mkrow(dt_min=alternating)])
 
     def test_rep_code_crossing_range(self):
-        small = parse_dt("{{12},{-4,6,8,10,12,14,16,18,20,22,24,2}}")
-        with pytest.raises(CorpusError, match=r"K12n1: dt_rep has 12 crossings, outside \[13, 17\]"):
-            validate_corpus([_mkrow(dt_rep=small)])
+        for n in (12, 18):
+            with pytest.raises(CorpusError, match=rf"K12n1: dt_rep has {n} crossings, outside \[13, 17\]"):
+                validate_corpus([_mkrow(dt_rep=_almost_alternating(n))])
+
+    @pytest.mark.parametrize("n", [13, 17])
+    def test_rep_code_crossing_range_ends_pass(self, n):
+        # the row passes every row check, so only the totals are wrong
+        with pytest.raises(CorpusError, match="row counts"):
+            validate_corpus([_mkrow(dt_rep=_almost_alternating(n))])
 
     def test_rep_code_must_classify_almost_alternating(self):
         alternating = parse_dt(

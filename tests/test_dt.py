@@ -120,7 +120,9 @@ def test_parse_rejects_bad_permutations(text: str, message: str) -> None:
     ("{{1},{%s}}" % ("8" * 30), "label %s exceeds 2n = 2" % ("8" * 30)),
     ("x" * 10000, "not of the form {{n},{a1,...,an}}: '%s'... (10000 characters)" % ("x" * 40)),
     ("x" * 40, "not of the form {{n},{a1,...,an}}: '%s'" % ("x" * 40)),
-], ids=["label", "odd-label", "count", "30-digit-label", "long-text", "40-character-text"])
+    ("x" * 41, "not of the form {{n},{a1,...,an}}: '%s'... (41 characters)" % ("x" * 40)),
+], ids=["label", "odd-label", "count", "30-digit-label", "long-text", "40-character-text",
+        "41-character-text"])
 def test_long_numbers_are_elided_from_messages(text: str, message: str) -> None:
     # a number of 31 digits or more shows as its sign and bit length, and
     # text of more than 40 characters as its first 40 and its length

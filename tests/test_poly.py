@@ -31,7 +31,8 @@ diagram) at a size where storage order blows up, and ``realize``
 rebuilds each of them, and its one-crossing switch, from the DT code
 alone with the same bracket up to mirror.  At n = 81 the 324 ends no
 longer fit in one byte each, so the bracket has no crossing cap of
-that kind.
+that kind.  Its one crossing cap, 2000, stops the torus knot
+T(2, 2001), about a minute of Jones, before any contraction.
 """
 
 from __future__ import annotations
@@ -229,6 +230,28 @@ class TestBracket:
         monkeypatch.setattr(turaev.poly, "_MAX_TABLES", 4)
         with pytest.raises(BracketTooWide, match="12-crossing.*step [0-9]+.*cap of 4"):
             bracket(pd)
+
+    def test_cap_on_crossings(self, monkeypatch: pytest.MonkeyPatch) -> None:
+        pd = realize(parse_dt(K12_MIN))
+        monkeypatch.setattr(turaev.poly, "_MAX_CROSSINGS", 12)
+        assert bracket(pd).terms
+        monkeypatch.setattr(turaev.poly, "_MAX_CROSSINGS", 11)
+        with pytest.raises(BracketTooWide, match="12-crossing.*cap of 11 crossings"):
+            bracket(pd)
+
+    def test_torus_knot_above_the_crossing_cap_fails_at_once(
+            self, monkeypatch: pytest.MonkeyPatch) -> None:
+        # T(2, 2001) would take about a minute; no contraction may start
+        n = 2001
+        labels = [*range(n + 1, 2 * n + 1, 2), *range(2, n, 2)]
+        pd = realize(parse_dt("{{%d},{%s}}" % (n, ",".join(map(str, labels)))))
+
+        def no_contraction(mate, n):
+            raise AssertionError("contraction started")
+
+        monkeypatch.setattr(turaev.poly, "_frontier_order", no_contraction)
+        with pytest.raises(BracketTooWide, match="2001-crossing.*cap of 2000 crossings"):
+            jones(pd)
 
     def test_readout_rejects_mixed_residues(self) -> None:
         # The Gauss word O1 O2 U1 U2 (the virtual trefoil) embeds only in

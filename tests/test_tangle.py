@@ -5,17 +5,21 @@ exhaustive enumeration of every word of length <= 5, whose first word
 in (length, lexicographic) order for each negative fraction must come
 back exactly, and the table of all coprime -p/q with p, q <= 40 in
 ``perfbench/golden.json``, recorded from an independent
-meet-in-the-middle search (found words and NotFounds alike).  The
-number of search nodes visited over that table is pinned, so a search
-that prunes less fails as well.  Random targets drawn as fractions of
-random valid words check the fraction round trip up to the full length
-of 12.  ``fraction`` is checked against a plain ``fractions.Fraction``
+meet-in-the-middle search (found words and NotFounds alike).  A
+sha256 over the outputs for all coprime -p/q with p, q <= 250 pins
+every answer of the search as it stood before its cuts were tightened.
+The number of search nodes visited over the golden table, the Euclid
+runs there and the prefixes spelled for hopeless roots are pinned, so
+a search that prunes less or recomputes more fails as well.  Random
+targets drawn as fractions of random valid words check the fraction
+round trip up to the full length of 12.  ``fraction`` is checked against a plain ``fractions.Fraction``
 evaluation, and nonnegative synthesis against the continued-fraction
 spellings computed the same way.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -25,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from turaev import tangle
 from turaev.tangle import (
     ExtendedRational,
     MalformedWord,
@@ -85,13 +90,15 @@ def _fraction_oracle(entries: tuple[int, ...]) -> Fraction | None:
 
 
 def _visits(target: ExtendedRational) -> int:
-    """Calls of the search's nested ``visit`` while synthesizing target."""
+    """Search nodes visited while synthesizing target: calls of the
+    nested ``visit`` (nodes in (-1, 0)) and ``branch`` (nodes below -1)."""
     calls = 0
 
     def count(frame, event, arg) -> None:
         nonlocal calls
         code = frame.f_code
-        calls += (event == "call" and code.co_name == "visit" and code.co_filename
+        calls += (event == "call" and code.co_name in ("visit", "branch")
+                  and code.co_filename
                   == synthesize_one_minus_one.__code__.co_filename)
 
     sys.setprofile(count)
@@ -101,6 +108,20 @@ def _visits(target: ExtendedRational) -> int:
         pass
     finally:
         sys.setprofile(None)
+    return calls
+
+
+def _counted(monkeypatch: pytest.MonkeyPatch, name: str) -> list[tuple]:
+    """Wrap the tangle module's function ``name``; the returned list
+    gets the arguments of each call."""
+    calls: list[tuple] = []
+    real = getattr(tangle, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tangle, name, counted)
     return calls
 
 
@@ -292,7 +313,47 @@ class TestSynthesize:
         targets = json.loads(GOLDEN.read_text())["synth-search"]["targets"]
         visits = [_visits(_er(text)) for text in targets]
         assert max(visits) == 20
-        assert sum(visits) == 9147
+        assert sum(visits) == 5843
+
+    def test_euclid_runs_once_per_target(self, monkeypatch) -> None:
+        # every node below the root takes its quotients from its parent
+        calls = _counted(monkeypatch, "_continued_fraction")
+        targets = json.loads(GOLDEN.read_text())["synth-search"]["targets"]
+        for text in targets:
+            try:
+                synthesize_one_minus_one(_er(text))
+            except NotFound:
+                pass
+        assert len(calls) == len(targets) == 979
+
+    def test_hopeless_prefixes_are_not_spelled(self, monkeypatch) -> None:
+        # each root (or its child e = 0) has 11 or more prefix quotients,
+        # so its own words are longer than 12 and none is spelled
+        calls = _counted(monkeypatch, "_spelling")
+        for q in ("-144/377", "-377/233", "-610/377", "-377/610"):
+            with pytest.raises(NotFound):
+                synthesize_one_minus_one(_er(q))
+        assert not calls
+
+    def test_outputs_match_the_recorded_digest(self) -> None:
+        # one sha256 over the rendered word or NotFound of every coprime
+        # -p/q with p, q <= 250, recorded from a search that ran Euclid
+        # at every level-one node and visited every sibling
+        digest = hashlib.sha256()
+        count = 0
+        for p in range(1, 251):
+            for q in range(1, 251):
+                if math.gcd(p, q) != 1:
+                    continue
+                try:
+                    out = render_word(synthesize_one_minus_one(ExtendedRational(-p, q)))
+                except NotFound:
+                    out = "NotFound"
+                digest.update(f"-{p}/{q} {out}\n".encode())
+                count += 1
+        assert count == 38047
+        assert digest.hexdigest() == (
+            "278a4e07e08f1ebfea38f289dad94e96662a1a1b1a576e17c8112651e2a6002a")
 
     def test_length_cap(self) -> None:
         # Fibonacci ratios need one more 1 per step, up to 12 entries
@@ -300,8 +361,11 @@ class TestSynthesize:
                         ("-55/144", "2 1 1 1 1 1 1 1 1 1 -1"),
                         ("-89/233", "2 1 1 1 1 1 1 1 1 1 1 -1")]:
             assert render_word(synthesize_one_minus_one(_er(q))) == want
-        with pytest.raises(NotFound):
-            synthesize_one_minus_one(_er("-144/377"))
+        # -361/945 has -v = [0; 2, 1, .., 1, 10], whose prefix
+        # [1; 1, .., 1, 10] is spelled 1 9 1 .. 1: 13 entries with the -1
+        for q in ("-144/377", "-361/945"):
+            with pytest.raises(NotFound):
+                synthesize_one_minus_one(_er(q))
 
     def test_only_word_at_the_node_bound(self) -> None:
         # -v = [0; 1, 9, 2, .., 2] at the root has no word of its own;
